@@ -16,11 +16,11 @@ from .localization import (
     KirwanPiece,
     KirwanSet,
     ManifoldModel,
+    exact_cross_check,
     localized_index,
     model_from_json_obj,
     model_to_json_obj,
     moment_report,
-    numeric_cross_check,
     orbit_model,
     su3_flag_bundle,
 )

@@ -2,8 +2,8 @@
 
 A virtual character is a finite integer combination of torus weights, stored
 as a sparse map keyed by exact coordinates.  Irreducible characters are built
-by exact division of alternating sums (the product with the Weyl denominator
-is eliminated leading term by leading term), and decomposition into
+by exact division of alternating sums by the Weyl denominator, one binomial
+(1 - t^{-beta}) per positive root at a time, and decomposition into
 irreducibles runs two independent algorithms - antisymmetrization and peeling
 - whose agreement is enforced on every call.
 
@@ -14,7 +14,6 @@ weight ``lam - rho``.
 from __future__ import annotations
 
 import cmath
-import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -37,8 +36,6 @@ from .weights import (
     weight_to_json,
     wsub,
 )
-
-_DIVISION_STEP_CAP = 5_000_000
 
 
 def _as_int(x) -> int:
@@ -260,59 +257,47 @@ def _alternating_sum(lam: Weight, rs: RootSystem) -> VirtualCharacter:
     return VirtualCharacter([(w.apply(lam), w.sign) for w in rs.weyl_elements])
 
 
-def _divide_by_denominator(numer: VirtualCharacter, rs: RootSystem) -> VirtualCharacter:
-    """Exact quotient numer / denominator via leading-term elimination.
+def divide_by_binomial(terms: Mapping[tuple[int, ...], int], a: tuple[int, ...]) -> dict:
+    """Exact quotient P / (1 - t^{-a}) of a Laurent polynomial by one binomial.
 
-    Uses the additive total order (coroot height, lex); the denominator's
-    maximal term is rho with coefficient +1, so each step strictly lowers the
-    remainder's maximal term.  Divisibility is guaranteed for genuine
-    alternating sums; a step cap turns a non-divisible input into a loud error.
+    The quotient is the running sum Q(x) = sum_{j>=0} P(x + j a) along each
+    a-string; it is a Laurent polynomial exactly when every a-string of P sums
+    to zero, and a nonzero tail raises MethodMismatch.
     """
-    hfun = rs._height_fun
-    rank = rs.rank
-
-    def entry(w):
-        return (-sum(h * c for h, c in zip(hfun, w)), tuple(-c for c in w), w)
-
-    denom = list(weyl_denominator(rs).terms().items())
-    rho = tuple(int(c) for c in rs.rho)
-    rem = numer.terms()
+    # x = base + k a with base[i] the residue of x[i] modulo a[i]
+    i = next(n for n, c in enumerate(a) if c)
+    strings: dict[tuple[int, ...], dict[int, int]] = {}
+    for x, c in terms.items():
+        k = x[i] // a[i]
+        strings.setdefault(tuple(u - k * v for u, v in zip(x, a)), {})[k] = c
     quot: dict[tuple[int, ...], int] = {}
-    heap = [entry(w) for w in rem]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        top = heapq.heappop(heap)[2]
-        c = rem.get(top, 0)
-        if c == 0:
-            continue
-        exp = tuple(top[i] - rho[i] for i in range(rank))
-        quot[exp] = quot.get(exp, 0) + c
-        for nu, d in denom:
-            key = tuple(exp[i] + nu[i] for i in range(rank))
-            new = rem.get(key, 0) - c * d
-            steps += 1
-            if steps > _DIVISION_STEP_CAP:
-                raise MethodMismatch("division by the Weyl denominator did not terminate")
-            if new:
-                rem[key] = new
-                heapq.heappush(heap, entry(key))
-            else:
-                rem.pop(key, None)
-    assert not rem
-    return VirtualCharacter(quot)
+    for base, coeffs in strings.items():
+        run = 0
+        for k in range(max(coeffs), min(coeffs) - 1, -1):
+            run += coeffs.get(k, 0)
+            if run:
+                quot[tuple(u + k * v for u, v in zip(base, a))] = run
+        if run:
+            raise MethodMismatch(f"not divisible by (1 - t^-({format_weight(a)})): the "
+                                 f"string through ({format_weight(base)}) leaves {run}")
+    return quot
 
 
 def weyl_character(lam: Weight, rs: RootSystem) -> VirtualCharacter:
     """Character of the irreducible with infinitesimal character lam.
 
-    Satisfies chi * D = sum_w sign(w) e^{w lam} with D the Weyl denominator;
-    computed by exact division and cached per root system.
+    Satisfies chi * D = sum_w sign(w) e^{w lam} with D the Weyl denominator
+    t^rho prod_{beta>0} (1 - t^{-beta}), so chi is t^{-rho} times the
+    alternating sum divided by one binomial per positive root; cached per
+    root system.
     """
     lam = _require_infinitesimal_character(lam, rs)
     cached = rs.char_cache.get(("chi", lam))
     if cached is None:
-        cached = _divide_by_denominator(_alternating_sum(lam, rs), rs)
+        terms = _alternating_sum(lam, rs)._terms
+        for beta in rs.positive_roots:
+            terms = divide_by_binomial(terms, tuple(_as_int(c) for c in beta))
+        cached = VirtualCharacter((wsub(w, rs.rho), c) for w, c in terms.items())
         rs.char_cache[("chi", lam)] = cached
     return cached
 

@@ -18,11 +18,11 @@ from .errors import SpindexError
 from .localization import (
     CALIBRATED_CONVENTION,
     ExpansionConfig,
+    exact_cross_check,
     localized_index,
     model_from_json_obj,
     model_to_json_obj,
     moment_report,
-    numeric_cross_check,
     orbit_model,
     su3_flag_bundle,
 )
@@ -30,8 +30,6 @@ from .orbits import admissible_orbits_on_face, orbit_spin_index
 from .qr import parse_provider_spec, validate_provider, verify_qr
 from .roots import all_faces, build_root_system, face_from_vanishing_set, stabilizer_classes
 from .weights import format_weight, parse_weight, wsub
-
-CROSS_CHECK_TOLERANCE = 1e-9
 
 
 class _UsageError(Exception):
@@ -41,6 +39,22 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
+
+
+def _arg_type(parse, expected: str):
+    """An argparse type whose parse failures become one-line usage errors."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -55,7 +69,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--model", required=True,
                         help="builder name (orbit, su3-flag-bundle) or path to a JSON model file")
         sp.add_argument("--group", help="group type label or Cartan matrix as JSON")
-        sp.add_argument("--mu", help="dominant weight, comma-separated rationals")
+        sp.add_argument("--mu", type=_arg_type(parse_weight, "comma-separated rationals"),
+                        help="dominant weight, comma-separated rationals")
         sp.add_argument("--a", type=int)
         sp.add_argument("--b", type=int)
         sp.add_argument("--convention", default=CALIBRATED_CONVENTION,
@@ -70,14 +85,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--face", required=True,
                     help="w<k> for the omega_k ray, 'open', 'origin', or s:<i,j,...>")
-    sp.add_argument("--max", required=True, help="upper bound for each free coordinate")
+    sp.add_argument("--max", required=True, type=_arg_type(Fraction, "a rational number"),
+                    help="upper bound for each free coordinate")
     add_common(sp)
 
     sp = sub.add_parser("index", help="localized index character of a model")
     add_model_source(sp)
     sp.add_argument("--cross-check", action="store_true",
-                    help="compare against the numeric fixed-point sum")
-    sp.add_argument("--trials", type=int, default=20)
+                    help="check exactly, mod a prime, against the fixed-point sum")
+    sp.add_argument("--trials", type=_arg_type(_positive_int, "a positive integer"), default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--moment-report", action="store_true",
                     help="also print fixed-point moments vs the declared Kirwan set")
@@ -102,20 +118,26 @@ def _build_parser() -> _Parser:
 
 def _resolve_group(text: str):
     if text.strip().startswith("["):
-        return build_root_system(json.loads(text))
+        try:
+            return build_root_system(json.loads(text))
+        except (json.JSONDecodeError, TypeError) as exc:  # not JSON, or rows not lists
+            raise _UsageError(f"cannot parse Cartan matrix {text!r}: {exc}") from None
     return build_root_system(text)
 
 
 def _resolve_model(args):
     name = args.model
     if name.endswith(".json"):
-        with open(name, encoding="utf-8") as fh:
-            return model_from_json_obj(json.load(fh))
+        try:
+            with open(name, encoding="utf-8") as fh:
+                return model_from_json_obj(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:  # not JSON, a field missing or mistyped
+            raise _UsageError(f"malformed model file {name}: {exc!r}") from None
     if name == "orbit":
         if not args.group or not args.mu:
             raise _UsageError("builder 'orbit' needs --group and --mu")
         rs = _resolve_group(args.group)
-        return orbit_model(rs, parse_weight(args.mu))
+        return orbit_model(rs, args.mu)
     if name in ("su3-flag-bundle", "su3_flag_bundle"):
         if args.a is None or args.b is None:
             raise _UsageError("builder 'su3-flag-bundle' needs --a and --b")
@@ -135,13 +157,13 @@ def _parse_face(text: str, rs):
         return face_from_vanishing_set(frozenset(), rs)
     if text in ("origin", "vertex", "0"):
         return face_from_vanishing_set(frozenset(range(1, rs.rank + 1)), rs)
-    if text.startswith("w"):
+    if text.startswith("w") and text[1:].isdecimal():
         k = int(text[1:])
         if not 1 <= k <= rs.rank:
             raise _UsageError(f"ray index {k} out of range for rank {rs.rank}")
         return face_from_vanishing_set(
             frozenset(i for i in range(1, rs.rank + 1) if i != k), rs)
-    if text.startswith("s:"):
+    if text.startswith("s:") and all(t.isdecimal() for t in text[2:].split(",") if t):
         vanishing = frozenset(int(t) for t in text[2:].split(",") if t)
         return face_from_vanishing_set(vanishing, rs)
     raise _UsageError(f"cannot parse face spec {text!r}")
@@ -210,7 +232,7 @@ def _cmd_faces(args) -> int:
 def _cmd_orbits(args) -> int:
     rs = _resolve_group(args.group)
     face = _parse_face(args.face, rs)
-    orbits = admissible_orbits_on_face(face, (Fraction(0), Fraction(args.max)), rs)
+    orbits = admissible_orbits_on_face(face, (Fraction(0), args.max), rs)
     entries = []
     for o in orbits:
         oindex = orbit_spin_index(o, rs)
@@ -241,15 +263,13 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_index(args) -> int:
     model = _resolve_model(args)
-    rs = model.root_system
     chi = localized_index(model, _config(args))
-    deviation = None
-    if args.cross_check:
-        deviation = numeric_cross_check(model, chi, trials=args.trials, seed=args.seed)
+    if args.cross_check and not exact_cross_check(model, chi, args.trials, args.seed):
+        raise SpindexError(f"cross-check failed: {model.name} differs from its fixed-point sum")
     if args.format == "json":
         obj = {"model": model.name, "character": chi.to_json_obj()}
-        if deviation is not None:
-            obj["cross_check_deviation"] = deviation
+        if args.cross_check:
+            obj["cross_check"] = "pass"
         if args.moment_report:
             obj["moment_report"] = [
                 {
@@ -265,8 +285,8 @@ def _cmd_index(args) -> int:
         print(f"model: {model.name}")
         rows = [[format_weight(w), c] for w, c in sorted(chi.terms().items())]
         print(_render_table(["weight", "coeff"], rows) if rows else "zero character")
-        if deviation is not None:
-            print(f"numeric cross-check deviation: {deviation:.3e}")
+        if args.cross_check:
+            print("cross-check: pass")
         if args.moment_report:
             print()
             rows = [
@@ -277,10 +297,6 @@ def _cmd_index(args) -> int:
             ]
             print(_render_table(
                 ["fixed point", "moment", "dominant rep", "in kirwan"], rows))
-    if deviation is not None and deviation >= CROSS_CHECK_TOLERANCE:
-        print(f"cross-check deviation {deviation} exceeds {CROSS_CHECK_TOLERANCE}",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -305,7 +321,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify_qr(args) -> int:
     model = _resolve_model(args)
     rs = model.root_system
-    provider = parse_provider_spec(args.provider, model, _config(args))
+    try:
+        provider = parse_provider_spec(args.provider, model, _config(args))
+    except (ValueError, KeyError) as exc:  # constant:<not an integer>, or a malformed table
+        raise _UsageError(f"cannot parse provider {args.provider!r}: {exc}") from None
     warnings = validate_provider(provider, model)
     report = verify_qr(model, provider, _config(args))
     if args.format == "json":

@@ -48,7 +48,7 @@ class NonDominantLeadingTerm(SpindexError):
 
 
 class MethodMismatch(SpindexError):
-    """The two independent decomposition methods disagree (internal bug)."""
+    """Independent methods disagree, or an exact division leaves a remainder."""
 
 
 class ParityViolation(SpindexError):
@@ -61,10 +61,6 @@ class NonGenericDirection(SpindexError):
 
 class UnstableCutoff(SpindexError):
     """Truncated expansions at N and N+margin disagree; N must be raised."""
-
-
-class SingularSamplePoint(SpindexError):
-    """Could not draw a numerically safe torus point within the retry budget."""
 
 
 class ProviderMissingOrbit(SpindexError):

@@ -37,7 +37,6 @@ from .errors import (
     NonGenericDirection,
     NotAdmissible,
     ParityViolation,
-    SingularSamplePoint,
     SpindexError,
     UnstableCutoff,
 )
@@ -68,6 +67,7 @@ from .weights import (
 )
 
 CUTOFF_ENV_VAR = "SPINDEX_CUTOFF"
+_PRIME = 2 ** 61 - 1  # the field of exact_cross_check
 
 _A2_CACHE: RootSystem | None = None
 
@@ -410,40 +410,37 @@ def localized_index(model: ManifoldModel, cfg: ExpansionConfig | None = None) ->
     return VirtualCharacter(terms)
 
 
-def numeric_cross_check(model: ManifoldModel, chi: VirtualCharacter,
-                        trials: int = 20, seed: int = 0) -> float:
-    """Max deviation between the exact rational fixed-point sum and chi at random torus points.
+def _at(y: list[int], x) -> int:
+    """t^{x/2} at the point y of the torus over F_p: prod_i y_i^{x_i}."""
+    return math.prod(pow(yi, int(xi), _PRIME) for yi, xi in zip(y, x)) % _PRIME
 
-    Sample points too close to a singular hyperplane of any tangent weight are
-    rejected and redrawn; exhausting the retry budget raises
-    SingularSamplePoint.
+
+def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
+                      trials: int = 20, seed: int = 0) -> bool:
+    """Whether chi equals the fixed-point sum, tested exactly in F_p with p = 2^61 - 1.
+
+    Each trial evaluates both sides at a seeded point where t^{x/2} =
+    prod_i y_i^{x_i}, defined for every integral x, and redraws the point if a
+    tangent denominator is 0 mod p.  A wrong chi passes one trial with
+    probability about (degree of the difference) / p.
     """
-    rank = model.root_system.rank
+    if trials < 1:
+        raise SpindexError(f"the cross-check needs at least one trial, got {trials}")
     rng = random.Random(seed)
-    tangents = sorted(_tangent_set(model))
-    worst = 0.0
     for _ in range(trials):
-        theta = None
-        for _attempt in range(200):
-            cand = [2.0 * math.pi * rng.random() for _ in range(rank)]
-            sines = [math.sin(sum(float(c) * t for c, t in zip(a, cand)) / 2.0)
-                     for a in tangents]
-            if all(abs(s) >= 0.1 for s in sines):
-                theta = cand
+        while True:
+            y = [rng.randrange(1, _PRIME) for _ in range(model.root_system.rank)]
+            sines = {a: (_at(y, a) - _at(y, wneg(a))) % _PRIME for a in _tangent_set(model)}
+            if all(sines.values()):
                 break
-        if theta is None:
-            raise SingularSamplePoint(
-                "no numerically safe torus point found within the retry budget")
-        total = 0j
+        lhs = 0
         for fp in model.fixed_points:
-            num = np.exp(1j * sum(float(c) * t for c, t in zip(fp.det_weight, theta)) / 2.0)
-            den = 1.0 + 0j
-            for a in fp.tangent_weights:
-                ang = sum(float(c) * t for c, t in zip(a, theta)) / 2.0
-                den *= np.exp(1j * ang) - np.exp(-1j * ang)
-            total += num / den
-        worst = max(worst, abs(total - chi.evaluate(theta)))
-    return worst
+            den = math.prod(sines[a] for a in fp.tangent_weights) % _PRIME
+            lhs += _at(y, fp.det_weight) * pow(den, -1, _PRIME)
+        rhs = sum(c * _at(y, [2 * x for x in w]) for w, c in chi.terms().items())
+        if (lhs - rhs) % _PRIME:
+            return False
+    return True
 
 
 # -- model builders -------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Decomposition
-from .errors import NotRegularDominant, ProviderInvalid, ProviderMissingOrbit
+from .errors import NotRegularDominant, ProviderInvalid, ProviderMissingOrbit, SpindexError
 from .localization import (
     ExpansionConfig,
     ManifoldModel,
@@ -146,7 +146,8 @@ def vanishes_by_moment_image(model: ManifoldModel) -> bool:
     vanishes_by_stabilizer first); again forces a zero index.
     """
     realized = set(_stabilizer_realizing_faces(model))
-    assert realized, "predicate requires a realizable stabilizer class"
+    if not realized:
+        raise SpindexError("vanishes_by_moment_image needs a realizable stabilizer class")
     met = kirwan_faces_met(model.kirwan, model.root_system)
     return not (realized & met)
 

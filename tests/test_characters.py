@@ -17,7 +17,9 @@ from spindex import (
     weyl_character,
     weyl_denominator,
 )
+from spindex.characters import divide_by_binomial
 from spindex.errors import (
+    MethodMismatch,
     NotInShiftedLattice,
     NotRegularDominant,
     NotWeylInvariant,
@@ -56,6 +58,24 @@ def test_weyl_character_validation(a2):
 def test_character_weights_must_be_integral():
     with pytest.raises(NotInShiftedLattice):
         VirtualCharacter.monomial(weight([Q(1, 2)]))
+
+
+@pytest.mark.parametrize("a", [(1,), (-3,), (2, -1), (-1, 2), (1, 1), (0, -1), (-1, 2, -1)])
+def test_divide_by_binomial_inverts_multiplication(a):
+    rng = random.Random(sum(a) + 7 * len(a))
+    binomial = VirtualCharacter({(0,) * len(a): 1, tuple(-c for c in a): -1})
+    for _ in range(20):
+        poly = VirtualCharacter(
+            (tuple(rng.randint(-4, 4) for _ in a), rng.randint(-3, 3)) for _ in range(6))
+        assert divide_by_binomial((poly * binomial).terms(), a) == poly.terms()
+
+
+def test_divide_by_binomial_rejects_a_remainder():
+    # 1 + t^(2,-1) is not a multiple of 1 - t^-(2,-1): its (2,-1)-string sums to 2
+    with pytest.raises(MethodMismatch, match=r"1 - t\^-\(2,-1\)"):
+        divide_by_binomial({(0, 0): 1, (2, -1): 1}, (2, -1))
+    with pytest.raises(MethodMismatch):
+        divide_by_binomial({(1, 0): 1}, (0, 1))
 
 
 def test_dimension_examples(a1, a2):

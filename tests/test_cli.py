@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from spindex.cli import main
 
 
@@ -90,12 +92,29 @@ def test_json_output_byte_stable(capsys):
 
 
 def test_index_cross_check_and_moment_report(capsys):
-    code, out, _ = run(capsys, "index", "--model", "su3-flag-bundle",
-                       "--a", "1", "--b", "3", "--cross-check", "--trials", "20",
-                       "--seed", "11", "--moment-report")
+    args = ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+            "--cross-check", "--trials", "20", "--seed", "11", "--moment-report")
+    code, out, _ = run(capsys, *args)
     assert code == 0
-    assert "cross-check deviation" in out
+    assert "cross-check: pass" in out
     assert "in kirwan" in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["cross_check"] == "pass"
+
+
+def test_index_cross_check_failure_exits_2(capsys, monkeypatch):
+    import spindex.cli as cli
+    from spindex import VirtualCharacter
+
+    exact = cli.localized_index
+    monkeypatch.setattr(cli, "localized_index", lambda model, cfg=None:
+                        exact(model, cfg) + VirtualCharacter.monomial((0, 0)))
+    code, out, err = run(capsys, "index", "--model", "su3-flag-bundle",
+                         "--a", "1", "--b", "3", "--cross-check")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cross-check failed")
 
 
 def test_index_cutoff_override_error(capsys):
@@ -138,6 +157,40 @@ def test_explicit_cartan_matrix_group(capsys):
     code, out, _ = run(capsys, "faces", "--group", "[[2,-1],[-1,2]]")
     assert code == 0
     assert "S={1,2}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "--model", "{no_fixed_points}"),
+    ("index", "--model", "{not_json}"),
+    ("decompose", "--model", "orbit", "--group", "A2", "--mu", "1,x"),
+    ("orbits", "--group", "A2", "--face", "w1", "--max", "abc"),
+    ("orbits", "--group", "A2", "--face", "w1", "--max", "1/0"),
+    ("orbits", "--group", "A2", "--face", "wx", "--max", "3"),
+    ("faces", "--group", "[[2,-1],[-1,2]"),
+    ("faces", "--group", "[1,2]"),
+    ("verify-qr", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+     "--provider", "constant:x"),
+    ("verify-qr", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+     "--provider", "table:{no_fixed_points}"),
+    ("index", "--model", "{mistyped}"),
+    ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+     "--cross-check", "--trials", "0"),
+])
+def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
+    no_fixed_points = tmp_path / "no_fixed_points.json"
+    no_fixed_points.write_text(json.dumps({"group": "A1", "generic_stabilizer": [[]],
+                                           "kirwan": []}))
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({"group": "A1", "fixed_points": 5,
+                                    "generic_stabilizer": [[]], "kirwan": []}))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("fixed_points: none\n")
+    argv = [a.format(no_fixed_points=no_fixed_points, mistyped=mistyped, not_json=not_json)
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(("usage error: ", "error: ")) and err.count("\n") == 1, err
 
 
 def test_help_exits_zero(capsys):

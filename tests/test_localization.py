@@ -1,4 +1,4 @@
-"""Fixed-point engine, model builders, numeric oracle, model files."""
+"""Fixed-point engine, model builders, exact modular oracle, model files."""
 
 import json
 from fractions import Fraction as Q
@@ -11,11 +11,11 @@ from spindex import (
     FixedPointDatum,
     VirtualCharacter,
     decompose,
+    exact_cross_check,
     localized_index,
     model_from_json_obj,
     model_to_json_obj,
     moment_report,
-    numeric_cross_check,
     orbit_model,
     su3_flag_bundle,
     weyl_character,
@@ -24,6 +24,7 @@ from spindex.errors import (
     NonGenericDirection,
     NotAdmissible,
     ParityViolation,
+    SpindexError,
     UnstableCutoff,
 )
 from spindex.localization import CUTOFF_ENV_VAR, resolve_config
@@ -178,32 +179,37 @@ def test_cutoff_env_var(monkeypatch):
         == 2 * VirtualCharacter.monomial(weight([0, 0]))
 
 
-def test_numeric_cross_check(a1):
+def test_exact_cross_check(a1):
     model = orbit_model(a1, weight([2]))
     chi = localized_index(model)
     assert chi == weyl_character(weight([2]), a1)
-    assert numeric_cross_check(model, chi, trials=20, seed=3) < 1e-9
+    assert exact_cross_check(model, chi, trials=20, seed=3) is True
 
     perturbed = chi + VirtualCharacter.monomial(weight([4]))
-    assert numeric_cross_check(model, perturbed, trials=5, seed=3) > 0.1
+    assert exact_cross_check(model, perturbed, trials=1, seed=3) is False
+    assert exact_cross_check(model, 2 * chi, trials=1, seed=3) is False
+
+    with pytest.raises(SpindexError):
+        exact_cross_check(model, chi, trials=0)
 
 
-def test_cross_check_singular_sample_exhaustion(a1, monkeypatch):
-    # an RNG pinned to 0 only ever proposes the singular point theta = 0
+def test_exact_cross_check_redraws_singular_points(a1, monkeypatch):
+    # y = 1 puts every tangent denominator y^a - y^-a at 0 mod p, so the
+    # check must redraw; the second draw, y = 3, is regular
     import spindex.localization as loc
-    from spindex.errors import SingularSamplePoint
 
-    class Pinned:
+    class Scripted:
         def __init__(self, seed):
-            pass
+            self.draws = iter([1, 3])
 
-        def random(self):
-            return 0.0
+        def randrange(self, lo, hi):
+            return next(self.draws)
 
-    monkeypatch.setattr(loc.random, "Random", Pinned)
-    model = orbit_model(a1, weight([1]))
-    with pytest.raises(SingularSamplePoint):
-        numeric_cross_check(model, localized_index(model), trials=1, seed=0)
+    monkeypatch.setattr(loc.random, "Random", Scripted)
+    model = orbit_model(a1, weight([2]))
+    chi = localized_index(model)
+    assert exact_cross_check(model, chi, trials=1)
+    assert not exact_cross_check(model, chi + VirtualCharacter.monomial(weight([0])), trials=1)
 
 
 def test_model_json_round_trip(tmp_path):

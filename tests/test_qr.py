@@ -23,7 +23,7 @@ from spindex import (
     vanishes_by_stabilizer,
     verify_qr,
 )
-from spindex.errors import ProviderInvalid, ProviderMissingOrbit
+from spindex.errors import ProviderInvalid, ProviderMissingOrbit, SpindexError
 from spindex.localization import KirwanPiece, KirwanSet
 from spindex.roots import Face, StabilizerClass, face_from_vanishing_set
 from spindex.weights import weight
@@ -77,6 +77,14 @@ def test_vanishes_by_moment_image(a2):
         kirwan=KirwanSet((KirwanPiece(face=ray1, segments=((Q(0), Q(0)),)),)),
         name="kirwan-degenerate-segment")
     assert vanishes_by_moment_image(degenerate)  # [0,0] touches only the vertex
+
+
+def test_moment_image_predicate_needs_a_realizable_class(a2):
+    # an explicit error, so that python -O cannot turn it into a silent True
+    synthetic = dataclasses.replace(su3_flag_bundle(1, 3),
+                                    generic_stabilizer=_fake_rank2_stabilizer(a2))
+    with pytest.raises(SpindexError, match="realizable"):
+        vanishes_by_moment_image(synthetic)
 
 
 def test_contributing_faces(a2):
