@@ -24,7 +24,7 @@ from .errors import (
     NotWeylInvariant,
     NonDominantLeadingTerm,
 )
-from .roots import RootSystem, WeylElement
+from .roots import RootSystem, WeylElement, _orbit
 from .weights import (
     Weight,
     format_weight,
@@ -253,8 +253,12 @@ def weyl_denominator(rs: RootSystem) -> VirtualCharacter:
 
 
 def _alternating_sum(lam: Weight, rs: RootSystem) -> VirtualCharacter:
-    lam = tuple(_as_int(c) for c in lam)
-    return VirtualCharacter([(w.apply(lam), w.sign) for w in rs.weyl_elements])
+    """sum_w sign(w) t^{w lam} for a regular lam: its orbit is free, and sign(w)
+    is the parity of the depth of w(lam) in the walk."""
+    sign: dict[Weight, int] = {}
+    for x, (parent, _) in _orbit(rs, tuple(_as_int(c) for c in lam)).items():
+        sign[x] = 1 if parent is None else -sign[parent]
+    return VirtualCharacter(sign)
 
 
 def divide_by_binomial(terms: Mapping[tuple[int, ...], int], a: tuple[int, ...]) -> dict:

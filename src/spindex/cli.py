@@ -51,10 +51,12 @@ def _arg_type(parse, expected: str):
     return convert
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError(text)
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(text)
+        return int(text)
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -71,11 +73,12 @@ def _build_parser() -> _Parser:
         sp.add_argument("--group", help="group type label or Cartan matrix as JSON")
         sp.add_argument("--mu", type=_arg_type(parse_weight, "comma-separated rationals"),
                         help="dominant weight, comma-separated rationals")
-        sp.add_argument("--a", type=int)
-        sp.add_argument("--b", type=int)
+        sp.add_argument("--a", type=_arg_type(_int_at_least(0), "a nonnegative integer"))
+        sp.add_argument("--b", type=_arg_type(_int_at_least(0), "a nonnegative integer"))
         sp.add_argument("--convention", default=CALIBRATED_CONVENTION,
                         choices=["calibrated", "literal"])
-        sp.add_argument("--cutoff", type=int, help="expansion pairing depth override")
+        sp.add_argument("--cutoff", type=_arg_type(_int_at_least(1), "a positive integer"),
+                        help="expansion pairing depth override")
 
     sp = sub.add_parser("faces", help="list chamber faces and stabilizer classes")
     sp.add_argument("--group", required=True)
@@ -93,7 +96,7 @@ def _build_parser() -> _Parser:
     add_model_source(sp)
     sp.add_argument("--cross-check", action="store_true",
                     help="check exactly, mod a prime, against the fixed-point sum")
-    sp.add_argument("--trials", type=_arg_type(_positive_int, "a positive integer"), default=20)
+    sp.add_argument("--trials", type=_arg_type(_int_at_least(1), "a positive integer"), default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--moment-report", action="store_true",
                     help="also print fixed-point moments vs the declared Kirwan set")
@@ -137,6 +140,8 @@ def _resolve_model(args):
         if not args.group or not args.mu:
             raise _UsageError("builder 'orbit' needs --group and --mu")
         rs = _resolve_group(args.group)
+        if len(args.mu) != rs.rank:
+            raise _UsageError(f"--mu needs {rs.rank} coordinates for group {rs.label}")
         return orbit_model(rs, args.mu)
     if name in ("su3-flag-bundle", "su3_flag_bundle"):
         if args.a is None or args.b is None:
@@ -165,6 +170,8 @@ def _parse_face(text: str, rs):
             frozenset(i for i in range(1, rs.rank + 1) if i != k), rs)
     if text.startswith("s:") and all(t.isdecimal() for t in text[2:].split(",") if t):
         vanishing = frozenset(int(t) for t in text[2:].split(",") if t)
+        if not vanishing <= set(range(1, rs.rank + 1)):
+            raise _UsageError(f"vanishing set {sorted(vanishing)} out of range for rank {rs.rank}")
         return face_from_vanishing_set(vanishing, rs)
     raise _UsageError(f"cannot parse face spec {text!r}")
 

@@ -16,7 +16,7 @@ class UnknownType(SpindexError):
 
 
 class WeylGroupTooLarge(SpindexError):
-    """Weyl group generation exceeded the configured size cap."""
+    """A Weyl orbit walk passed its fixed bound of 2^16 points."""
 
 
 class NotDominant(SpindexError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +44,7 @@ from .roots import (
     Face,
     RootSystem,
     StabilizerClass,
+    _orbit,
     build_root_system,
     face_from_vanishing_set,
     face_of,
@@ -66,7 +66,6 @@ from .weights import (
     zero_weight,
 )
 
-CUTOFF_ENV_VAR = "SPINDEX_CUTOFF"
 _PRIME = 2 ** 61 - 1  # the field of exact_cross_check
 
 _A2_CACHE: RootSystem | None = None
@@ -149,8 +148,7 @@ class ExpansionConfig:
 
     ``None`` fields resolve per model: the direction comes from a fixed list
     of candidates (first one pairing nonzero against every tangent weight),
-    the cutoff from a provable window bound, overridable through the
-    SPINDEX_CUTOFF environment variable.
+    the cutoff from a provable window bound.
     """
 
     direction_xi: Weight | None = None
@@ -251,10 +249,7 @@ def resolve_config(model: ManifoldModel, cfg: ExpansionConfig | None) -> Expansi
         if xi is None:
             raise NonGenericDirection(
                 f"no candidate expansion direction is generic for model {model.name!r}")
-    cutoff = cfg.cutoff
-    if cutoff is None and os.environ.get(CUTOFF_ENV_VAR):
-        cutoff = int(os.environ[CUTOFF_ENV_VAR])
-    return ExpansionConfig(direction_xi=xi, cutoff=cutoff,
+    return ExpansionConfig(direction_xi=xi, cutoff=cfg.cutoff,
                            stability_margin=cfg.stability_margin)
 
 
@@ -459,19 +454,16 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     sigma = face_of(mu, rs)
     levi = set(sigma.levi_positive_roots)
     moving = [beta for beta in rs.positive_roots if beta not in levi]
-    seen: dict[Weight, FixedPointDatum] = {}
-    for w in rs.weyl_elements:
-        image = w.apply(mu)
-        if image in seen:
-            continue
-        seen[image] = FixedPointDatum(
-            label=f"w({format_weight(image)})",
-            det_weight=wscale(2, image),
-            tangent_weights=tuple(w.apply(beta) for beta in moving),
-        )
+    tangents: dict[Weight, tuple[Weight, ...]] = {}
+    for image, (parent, i) in _orbit(rs, mu).items():
+        tangents[image] = (tuple(moving) if parent is None
+                           else tuple(rs.reflect(i, beta) for beta in tangents[parent]))
     return ManifoldModel(
         root_system=rs,
-        fixed_points=tuple(seen.values()),
+        fixed_points=tuple(
+            FixedPointDatum(label=f"w({format_weight(image)})", det_weight=wscale(2, image),
+                            tangent_weights=ts)
+            for image, ts in tangents.items()),
         generic_stabilizer=stabilizer_class_of_face(sigma, rs),
         kirwan=KirwanSet((KirwanPiece(face=sigma, points=(mu,)),)),
         name=f"orbit:{rs.label}:{format_weight(mu)}",
@@ -638,12 +630,13 @@ def kirwan_faces_met(kirwan: KirwanSet, rs: RootSystem) -> set[Face]:
                 met.add(piece.face)
             if lo == 0:
                 met.add(vertex)
-        if piece.points:
-            for size in range(1, len(piece.points) + 1):
-                for subset in itertools.combinations(piece.points, size):
-                    zeros = frozenset(
-                        i + 1 for i in range(rs.rank) if all(p[i] == 0 for p in subset))
-                    met.add(face_from_vanishing_set(zeros, rs))
+        # a positive combination of a subset of the points vanishes exactly where
+        # all of them do, so the faces met are the intersections of their zero sets
+        zero_sets: set[frozenset[int]] = set()
+        for p in piece.points:
+            zeros = frozenset(i + 1 for i, c in enumerate(p) if c == 0)
+            zero_sets |= {zeros} | {zeros & z for z in zero_sets}
+        met.update(face_from_vanishing_set(z, rs) for z in zero_sets)
     return met
 
 
@@ -764,11 +757,8 @@ def model_from_json_obj(obj: dict) -> ManifoldModel:
     )
     if not faces:
         raise SpindexError("generic_stabilizer must list at least one face")
-    from .roots import levi_conjugate
-
-    for f in faces[1:]:
-        if levi_conjugate(faces[0], f, rs) is None:
-            raise SpindexError("generic_stabilizer faces are not mutually Levi-conjugate")
+    if not set(faces) <= set(stabilizer_class_of_face(faces[0], rs).representative_faces):
+        raise SpindexError("generic_stabilizer faces are not mutually Levi-conjugate")
     pieces = tuple(
         KirwanPiece(
             face=face_from_vanishing_set(frozenset(e["face"]), rs),

@@ -28,7 +28,7 @@ from .localization import (
     localized_index,
 )
 from .orbits import CoadjointOrbit, OrbitIndex, coadjoint_orbit, is_admissible, orbit_spin_index
-from .roots import Face, RootSystem, all_faces, levi_conjugate
+from .roots import Face, RootSystem, face_from_vanishing_set, stabilizer_class_of_face
 from .weights import (
     Weight,
     format_weight,
@@ -83,13 +83,14 @@ class TableProvider:
                 e = TableEntry(*e)
             normalized.append(TableEntry(weight(e.mu), int(e.value), e.chamber))
         self.entries = tuple(normalized)
+        # reversed, so that the first entry for an orbit wins
+        self._values = {e.mu: e.value for e in reversed(self.entries)}
 
     def reduced_index(self, orbit: CoadjointOrbit, model: ManifoldModel) -> int:
-        for e in self.entries:
-            if e.mu == orbit.mu:
-                return e.value
-        raise ProviderMissingOrbit(
-            f"table provider has no entry for orbit {orbit.label()}")
+        if orbit.mu not in self._values:
+            raise ProviderMissingOrbit(
+                f"table provider has no entry for orbit {orbit.label()}")
+        return self._values[orbit.mu]
 
     def describe(self) -> str:
         return f"table[{len(self.entries)} entries]"
@@ -124,10 +125,13 @@ class FromMultiplicitiesProvider:
 
 
 def _stabilizer_realizing_faces(model: ManifoldModel) -> list[Face]:
-    """Chamber faces whose Levi subsystem is conjugate to the model's stabilizer."""
+    """Chamber faces whose Levi subsystem is conjugate to the model's stabilizer;
+    none when the stabilizer is not presented by a chamber face of the group."""
     rs = model.root_system
     target = model.generic_stabilizer.representative_faces[0]
-    return [f for f in all_faces(rs) if levi_conjugate(target, f, rs) is not None]
+    if target != face_from_vanishing_set(target.vanishing_set, rs):
+        return []
+    return list(stabilizer_class_of_face(target, rs).representative_faces)
 
 
 def vanishes_by_stabilizer(model: ManifoldModel) -> bool:

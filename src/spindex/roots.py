@@ -7,9 +7,12 @@ the Cartan matrix holds the fundamental-weight coordinates of alpha_j.  A
 weight is dominant iff its coordinates are nonnegative, and the pairing with
 the i-th simple coroot is coordinate i.
 
-Weyl groups are generated by closure of the simple reflections acting on
-fundamental-weight coordinates, with a hard size cap so desk-scale use fails
-loudly instead of blowing up.
+The Weyl group is never listed: ``_orbit`` walks one Weyl orbit breadth-first
+over the simple reflections.  Roots and coroots come from the orbits of the
+simple roots, alternating sums from the free orbit of a regular weight, orbit
+models from the orbit of their base point, and each Levi-conjugacy class from
+one orbit.  A walk raises ``WeylGroupTooLarge`` past a fixed bound of 2^16
+points: |W(E6)| = 51,840 fits, the Levi orbits of E7 do not.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import NotDominant, UnknownType, WeylGroupTooLarge
 from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_WEYL_CAP = 1024
+_ORBIT_BOUND = 2 ** 16
 
 
 def _mat_apply(m: IntMatrix, w: Weight) -> Weight:
@@ -43,27 +46,6 @@ def _identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_inv_int(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular-up-to-sign integer matrix."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        assert all(x.denominator == 1 for x in row)
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -78,9 +60,6 @@ class WeylElement:
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other: (self * other)(w) = self(other(w))."""
         return WeylElement(_mat_mul(self.matrix, other.matrix), self.sign * other.sign)
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(_mat_inv_int(self.matrix), self.sign)
 
     def is_identity(self) -> bool:
         return self.matrix == _identity(len(self.matrix))
@@ -260,13 +239,14 @@ class RootSystem:
     """Cartan-matrix-driven combinatorics of a compact semisimple group.
 
     Fields follow the build contract: ``rank``, ``cartan_matrix``,
-    ``simple_roots`` (omega-coordinates), ``positive_roots``, ``rho``, and the
-    full list of ``weyl_elements``.  Instances are immutable after
-    construction and safe to share.
+    ``simple_roots`` (omega-coordinates), ``positive_roots`` and ``rho``.
+    Building walks only the orbits of the simple roots, so every finite type
+    builds; the list of all group elements is made on first use only, and no
+    computation in the package reads it.  Instances are immutable after
+    construction (apart from their caches) and safe to share.
     """
 
-    def __init__(self, cartan: list[list[int]], weyl_cap: int = DEFAULT_WEYL_CAP,
-                 label: str | None = None):
+    def __init__(self, cartan: list[list[int]], label: str | None = None):
         _validate_cartan(cartan)
         self.label = label or "custom"
         self.rank = len(cartan)
@@ -274,20 +254,26 @@ class RootSystem:
         self.simple_roots: tuple[Weight, ...] = tuple(
             weight(self.cartan_matrix[i][j] for i in range(self.rank)) for j in range(self.rank)
         )
-        self.weyl_elements: tuple[WeylElement, ...] = self._generate_weyl(weyl_cap)
-        self._element_index = {w.matrix: w for w in self.weyl_elements}
-        self._cartan_inverse = self._invert_cartan()
-        self.positive_roots: tuple[Weight, ...] = self._find_positive_roots()
+        # the nonzero coordinates (r, alpha_i[r]) of each simple root, for reflect
+        self._alpha_support = tuple(
+            tuple((r, row[i]) for r, row in enumerate(self.cartan_matrix) if row[i])
+            for i in range(self.rank))
+        data = self._root_data()
+        self.positive_roots: tuple[Weight, ...] = tuple(
+            sorted(data, key=lambda beta: (sum(data[beta][0]), beta)))
+        self._coroot_funs = {beta: f for beta, (_, f) in data.items()}
+        # simple roots (1-based) with a nonzero coefficient in each positive root
+        self._root_support = {
+            beta: frozenset(i + 1 for i, c in enumerate(k) if c) for beta, (k, _) in data.items()}
         self.rho: Weight = wscale(Fraction(1, 2),
                                   reduce(wadd, self.positive_roots, zero_weight(self.rank)))
         assert self.rho == weight([1] * self.rank), "rho must be all-ones in omega coordinates"
-        self._coroot_funs, self._root_reflections = self._coroot_data()
         # 2 rho-check functional: positive on the open chamber, Weyl-orbit maxima dominant
         self._height_fun = tuple(
             sum(f[i] for f in self._coroot_funs.values()) for i in range(self.rank)
         )
         self._face_cache: dict[frozenset[int], Face] = {}
-        self._class_cache: list[StabilizerClass] | None = None
+        self._class_of: dict[Face, StabilizerClass] = {}
         self.char_cache: dict = {}  # used by the character module
 
     # -- construction helpers -------------------------------------------------
@@ -298,80 +284,39 @@ class RootSystem:
             m[r][i] -= self.cartan_matrix[r][i]
         return WeylElement(tuple(tuple(row) for row in m), -1)
 
-    def _generate_weyl(self, cap: int) -> tuple[WeylElement, ...]:
-        gens = [self._simple_reflection(i) for i in range(self.rank)]
-        ident = WeylElement(_identity(self.rank), 1)
-        seen = {ident.matrix: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = g.compose(s)
-                    if h.matrix not in seen:
-                        seen[h.matrix] = h
-                        nxt.append(h)
-                        if len(seen) > cap:
-                            raise WeylGroupTooLarge(
-                                f"Weyl group of {self.label} exceeds cap {cap}")
-            frontier = nxt
-        order = [ident] + [w for w in seen.values() if w is not ident]
-        return tuple(order)
+    def _root_data(self) -> dict[Weight, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Simple-root coordinates of each positive root beta, and simple-coroot
+        coordinates of its coroot (the functional lam -> <lam, beta^vee>).
 
-    def _invert_cartan(self):
-        n = self.rank
-        a = [[Fraction(self.cartan_matrix[i][j]) for j in range(n)] for i in range(n)]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            s = a[col][col]
-            a[col] = [x / s for x in a[col]]
-            inv[col] = [x / s for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return tuple(tuple(row) for row in inv)
-
-    def root_coordinates(self, w: Weight) -> Weight:
-        """Coordinates of a vector in the simple-root basis."""
-        return tuple(
-            sum((self._cartan_inverse[i][j] * w[j] for j in range(self.rank)), Fraction(0))
-            for i in range(self.rank)
-        )
-
-    def _find_positive_roots(self) -> tuple[Weight, ...]:
-        roots = {w.apply(alpha) for w in self.weyl_elements for alpha in self.simple_roots}
-        pos = []
-        for beta in roots:
-            k = self.root_coordinates(beta)
-            if all(c >= 0 for c in k):
-                assert all(c.denominator == 1 for c in k)
-                pos.append((sum(k), beta))
-        pos.sort(key=lambda p: (p[0], p[1]))
-        return tuple(beta for _, beta in pos)
-
-    def _coroot_data(self):
-        funs: dict[Weight, tuple[int, ...]] = {}
-        refl: dict[Weight, WeylElement] = {}
-        targets = set(self.positive_roots)
-        simple_refl = [self._simple_reflection(i) for i in range(self.rank)]
-        for w in self.weyl_elements:
-            if not targets - funs.keys():
-                break
-            w_inv = w.inverse()
-            for i, alpha in enumerate(self.simple_roots):
-                beta = w.apply(alpha)
-                if beta in targets and beta not in funs:
-                    funs[beta] = w_inv.matrix[i]
-                    refl[beta] = w.compose(simple_refl[i]).compose(w_inv)
-        assert set(funs) == targets
-        return funs, refl
+        Both are carried along the orbits of the simple roots: alpha_i starts at
+        unit vectors, and s_j lowers the j-th coordinates by <beta, alpha_j^vee>
+        and <alpha_j, beta^vee>.
+        """
+        data: dict[Weight, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for i, alpha in enumerate(self.simple_roots):
+            if alpha in data:
+                continue  # already reached from the orbit of an earlier simple root
+            unit = tuple(int(k == i) for k in range(self.rank))
+            carried = {}
+            for beta, (parent, j) in _orbit(self, alpha).items():
+                if parent is None:
+                    carried[beta] = (unit, unit)
+                    continue
+                k, f = carried[parent]
+                drop = sum(f[r] * self.cartan_matrix[r][j] for r in range(self.rank))
+                carried[beta] = (k[:j] + (k[j] - int(parent[j]),) + k[j + 1:],
+                                 f[:j] + (f[j] - drop,) + f[j + 1:])
+            data.update((beta, kf) for beta, kf in carried.items() if min(kf[0]) >= 0)
+        return data
 
     # -- queries ---------------------------------------------------------------
+
+    def reflect(self, i: int, x: Weight) -> Weight:
+        """s_i(x) = x - x_i alpha_i; coordinates keep their type."""
+        y = list(x)
+        for r, a in self._alpha_support[i]:
+            y[r] -= x[i] * a
+        return tuple(y)
 
     def coroot_pairing(self, lam: Weight, beta: Weight) -> Fraction:
         """Pairing of a weight with the coroot of a positive root."""
@@ -379,10 +324,21 @@ class RootSystem:
         return sum((Fraction(fun[i]) * lam[i] for i in range(self.rank)), Fraction(0))
 
     def root_reflection(self, beta: Weight) -> WeylElement:
-        return self._root_reflections[beta]
+        """s_beta(x) = x - <x, beta^vee> beta."""
+        fun = self._coroot_funs[beta]
+        n = self.rank
+        return WeylElement(tuple(tuple(int(r == c) - int(beta[r]) * fun[c] for c in range(n))
+                                 for r in range(n)), -1)
 
     def weyl_order(self) -> int:
-        return len(self.weyl_elements)
+        """|W|, the size of the free orbit of rho."""
+        return len(_orbit(self, (1,) * self.rank))
+
+    @cached_property
+    def weyl_elements(self) -> tuple[WeylElement, ...]:
+        """Every Weyl group element, identity first; one walk of the rho orbit on first use."""
+        orbit = _orbit(self, (1,) * self.rank)
+        return tuple(_witness(orbit, x, self) for x in orbit)
 
     def simple_reflections(self) -> tuple[WeylElement, ...]:
         return tuple(self._simple_reflection(i) for i in range(self.rank))
@@ -393,16 +349,52 @@ class RootSystem:
         return (ht, w)
 
     def identity(self) -> WeylElement:
-        return self.weyl_elements[0]
+        return WeylElement(_identity(self.rank), 1)
 
 
-def build_root_system(type_or_cartan, weyl_cap: int = DEFAULT_WEYL_CAP) -> RootSystem:
+def _orbit(rs: RootSystem, x: Weight) -> dict[Weight, tuple[Weight | None, int]]:
+    """Breadth-first walk of the Weyl orbit of x over the simple reflections.
+
+    Maps each point, in the order reached, to its parent and the index i with
+    point = s_i(parent); x itself maps to (None, -1), so the depth of a point
+    is the length of the shortest w carrying x to it.  Raises
+    WeylGroupTooLarge once the orbit passes 2^16 points.
+    """
+    reached: dict[Weight, tuple[Weight | None, int]] = {x: (None, -1)}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i in range(rs.rank):
+                if not p[i]:
+                    continue  # s_i fixes p
+                q = rs.reflect(i, p)
+                if q not in reached:
+                    reached[q] = (p, i)
+                    nxt.append(q)
+            if len(reached) > _ORBIT_BOUND:
+                raise WeylGroupTooLarge(
+                    f"a Weyl orbit of {rs.label} has more than {_ORBIT_BOUND} points")
+        frontier = nxt
+    return reached
+
+
+def _witness(orbit: dict, x: Weight, rs: RootSystem) -> WeylElement:
+    """The w carrying the start of the walk to x, read off the parent links."""
+    w = rs.identity()
+    while orbit[x][0] is not None:
+        x, i = orbit[x]
+        w = w.compose(rs._simple_reflection(i))
+    return w
+
+
+def build_root_system(type_or_cartan) -> RootSystem:
     """Build a root system from a type label ("A2", "B2", "A1xA1") or Cartan matrix."""
     if isinstance(type_or_cartan, str):
         cartan = _parse_type_label(type_or_cartan)
-        return RootSystem(cartan, weyl_cap=weyl_cap, label=type_or_cartan.replace(" ", ""))
+        return RootSystem(cartan, label=type_or_cartan.replace(" ", ""))
     cartan = [list(row) for row in type_or_cartan]
-    return RootSystem(cartan, weyl_cap=weyl_cap)
+    return RootSystem(cartan)
 
 
 def dominant_representative(w: Weight, rs: RootSystem) -> tuple[Weight, WeylElement]:
@@ -433,11 +425,7 @@ def face_from_vanishing_set(vanishing: frozenset[int], rs: RootSystem) -> Face:
     cached = rs._face_cache.get(vanishing)
     if cached is not None:
         return cached
-    levi = tuple(
-        beta for beta in rs.positive_roots
-        if all(c == 0 or (i + 1) in vanishing
-               for i, c in enumerate(rs.root_coordinates(beta)))
-    )
+    levi = tuple(beta for beta in rs.positive_roots if rs._root_support[beta] <= vanishing)
     rho_sigma = wscale(Fraction(1, 2), reduce(wadd, levi, zero_weight(rs.rank)))
     f = Face(vanishing, rho_sigma, levi)
     rs._face_cache[vanishing] = f
@@ -458,42 +446,47 @@ def is_regular(w: Weight, rs: RootSystem) -> bool:
     return all(rs.coroot_pairing(w, beta) != 0 for beta in rs.positive_roots)
 
 
-def _maps_levi_onto(elem: WeylElement, source: tuple[Weight, ...],
-                    target: tuple[Weight, ...]) -> bool:
-    allowed = set(target) | {tuple(-c for c in t) for t in target}
-    return all(elem.apply(beta) in allowed for beta in source)
+def _face_point(f: Face, rs: RootSystem) -> Weight:
+    """mu_f = sum of omega_i over i not in f: a point whose stabilizer roots are Phi_f."""
+    return tuple(int(i + 1 not in f.vanishing_set) for i in range(rs.rank))
+
+
+def _zero_set(x: Weight) -> frozenset[int]:
+    return frozenset(i + 1 for i, c in enumerate(x) if c == 0)
 
 
 def levi_conjugate(f1: Face, f2: Face, rs: RootSystem) -> WeylElement | None:
-    """Witness mapping the Levi root set of f1 onto that of f2 (up to sign), if any."""
+    """Witness w with w(Phi_f1) = Phi_f2 for two chamber faces, or None if none exists.
+
+    w(mu_f1) has stabilizer roots w(Phi_f1), which contain Phi_f2 exactly when
+    w(mu_f1) vanishes at f2; equal sizes make them equal.
+    """
     if len(f1.levi_positive_roots) != len(f2.levi_positive_roots):
         return None
-    for elem in rs.weyl_elements:
-        if _maps_levi_onto(elem, f1.levi_positive_roots, f2.levi_positive_roots):
-            return elem
-    return None
-
-
-def stabilizer_classes(rs: RootSystem) -> list[StabilizerClass]:
-    """Partition of all chamber faces into Levi-conjugacy classes."""
-    if rs._class_cache is not None:
-        return rs._class_cache
-    faces = all_faces(rs)
-    classes: list[list[Face]] = []
-    for f in faces:
-        for cls in classes:
-            if levi_conjugate(cls[0], f, rs) is not None:
-                cls.append(f)
-                break
-        else:
-            classes.append([f])
-    result = [StabilizerClass(tuple(cls)) for cls in classes]
-    rs._class_cache = result
-    return result
+    orbit = _orbit(rs, _face_point(f1, rs))
+    x = next((x for x in orbit if _zero_set(x) == f2.vanishing_set), None)
+    return None if x is None else _witness(orbit, x, rs)
 
 
 def stabilizer_class_of_face(f: Face, rs: RootSystem) -> StabilizerClass:
-    for cls in stabilizer_classes(rs):
-        if f in cls.representative_faces:
-            return cls
-    raise UnknownType(f"face {f.label()} is not a chamber face of {rs.label}")
+    """Levi-conjugacy class of a chamber face, members in ``all_faces`` order.
+
+    Face K is in it exactly when some point of the orbit of mu_f vanishes
+    exactly at K and |Phi_K| = |Phi_f| (see ``levi_conjugate``).
+    """
+    cls = rs._class_of.get(f)
+    if cls is None:
+        if f != face_from_vanishing_set(f.vanishing_set, rs):
+            raise UnknownType(f"face {f.label()} is not a chamber face of {rs.label}")
+        zero_sets = {_zero_set(x) for x in _orbit(rs, _face_point(f, rs))}
+        size = len(f.levi_positive_roots)
+        cls = StabilizerClass(tuple(
+            k for k in all_faces(rs)
+            if k.vanishing_set in zero_sets and len(k.levi_positive_roots) == size))
+        rs._class_of.update(dict.fromkeys(cls.representative_faces, cls))
+    return cls
+
+
+def stabilizer_classes(rs: RootSystem) -> list[StabilizerClass]:
+    """Partition of all chamber faces into Levi-conjugacy classes, in ``all_faces`` order."""
+    return list(dict.fromkeys(stabilizer_class_of_face(f, rs) for f in all_faces(rs)))

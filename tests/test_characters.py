@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from spindex import (
     Decomposition,
     VirtualCharacter,
+    build_root_system,
     decompose,
     dimension,
     evaluate_numeric,
     weyl_character,
     weyl_denominator,
 )
-from spindex.characters import divide_by_binomial
+from spindex.characters import _alternating_sum, divide_by_binomial
 from spindex.errors import (
     MethodMismatch,
     NotInShiftedLattice,
@@ -222,3 +223,13 @@ def test_character_algebra_basics(a2):
     assert (-1) * chi == -chi
     assert (chi * VirtualCharacter.monomial(weight([0, 0]))) == chi
     assert len(chi + chi) == len(chi)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2", "A2xA1"])
+def test_alternating_sum_matches_the_full_weyl_group(label):
+    # oracle: sum_w sign(w) t^{w lam} over the listed group
+    rs = build_root_system(label)
+    for lam in [rs.rho, weight([2] + [1] * (rs.rank - 1)), weight(range(1, rs.rank + 1))]:
+        expected = VirtualCharacter([(w.apply(lam), w.sign) for w in rs.weyl_elements])
+        assert _alternating_sum(lam, rs) == expected
+        assert len(expected.terms()) == rs.weyl_order()

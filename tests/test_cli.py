@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spindex.cli import main
 
@@ -175,6 +177,10 @@ def test_explicit_cartan_matrix_group(capsys):
     ("index", "--model", "{mistyped}"),
     ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
      "--cross-check", "--trials", "0"),
+    ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3", "--cutoff", "0"),
+    ("index", "--model", "su3-flag-bundle", "--a", "-1", "--b", "3"),
+    ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "-1"),
+    ("orbits", "--group", "A2", "--face", "s:7", "--max", "3"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     no_fixed_points = tmp_path / "no_fixed_points.json"
@@ -196,3 +202,86 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["verify-qr", "--help"]) == 0
+
+
+def test_exceptional_groups(capsys):
+    code, out, _ = run(capsys, "faces", "--group", "E6", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert len(obj["faces"]) == 64 and len(obj["stabilizer_classes"]) == 17
+    code, out, err = run(capsys, "faces", "--group", "E7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# flag -> (well-formed values, junk values); None for a switch
+_FUZZ_VALUES = {
+    "--group": (["A1", "A2", "[[2,-1],[-1,2]]"], ["A1xA1", "[[2]]", "Z9", "[1", "", "E"]),
+    "--format": (["table", "json"], ["xml"]),
+    "--face": (["w1", "w2", "open", "origin", "s:1", "s:1,2", "s:"], ["w3", "s:7", "wx", ""]),
+    "--max": (["0", "2", "3/2"], ["-1", "abc", "1/0"]),
+    "--model": (["orbit", "su3-flag-bundle", "{model}"], ["missing.json", "{junk}", "x"]),
+    "--mu": (["1", "2", "1,1", "3/2,0", "1/2,0"], ["1,0", "0,0", "1,x", "", "1,1,1"]),
+    "--a": (["0", "1", "2"], ["-1", "x"]),
+    "--b": (["0", "1", "3"], ["-1", "x"]),
+    "--convention": (["calibrated"], ["literal", "other"]),
+    "--cutoff": (["8", "40"], ["0", "1", "x"]),
+    "--trials": (["1", "3"], ["0", "x"]),
+    "--seed": (["0", "7"], ["x"]),
+    "--provider": (["constant:1", "table:{table}", "from-multiplicities"],
+                   ["constant:x", "table:{junk}", "table:missing.json", "bogus"]),
+    "--out": (["{out}"], []),
+    "--cross-check": None,
+    "--moment-report": None,
+    "--help": None,
+    "--bogus": None,
+}
+_MODEL_FLAGS = ["--model", "--group", "--mu", "--a", "--b", "--convention", "--cutoff"]
+_FUZZ_COMMANDS = {
+    "faces": ["--group", "--format"],
+    "orbits": ["--group", "--face", "--max", "--format"],
+    "index": _MODEL_FLAGS + ["--cross-check", "--trials", "--seed", "--moment-report",
+                             "--format"],
+    "decompose": _MODEL_FLAGS + ["--format"],
+    "verify-qr": _MODEL_FLAGS + ["--provider", "--format"],
+    "export-model": _MODEL_FLAGS + ["--out"],
+    "nope": [],
+}
+
+
+def _mostly(value: bool):
+    return st.sampled_from((value,) * 4 + (not value,))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with most of its flags, mostly well-formed values and some junk."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    flags = [f for f in _FUZZ_COMMANDS[command] if draw(_mostly(True))]
+    if draw(_mostly(False)):
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_VALUES))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if _FUZZ_VALUES[flag] is not None:
+            good, junk = _FUZZ_VALUES[flag]
+            pool = junk if junk and draw(_mostly(False)) else good
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_fuzz_returns_an_exit_code(capsys, tmp_path, argv):
+    files = {"model": tmp_path / "model.json", "junk": tmp_path / "junk.json",
+             "table": tmp_path / "table.json", "out": tmp_path / "out.json"}
+    files["model"].write_text(json.dumps({
+        "group": "A1", "generic_stabilizer": [[]], "kirwan": [{"face": [], "points": [["1"]]}],
+        "fixed_points": [{"label": "p", "det_weight": ["2"], "tangent_weights": [["2"]]},
+                         {"label": "q", "det_weight": ["-2"], "tangent_weights": [["-2"]]}]}))
+    files["junk"].write_text("[1, 2")
+    files["table"].write_text(json.dumps({"entries": [{"mu": ["1"], "value": 1}]}))
+    assert main([a.format(**files) for a in argv]) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -7,6 +7,9 @@ import pytest
 
 from spindex import (
     Decomposition,
+    admissible_orbits_on_face,
+    all_faces,
+    build_root_system,
     ExpansionConfig,
     FixedPointDatum,
     VirtualCharacter,
@@ -27,8 +30,8 @@ from spindex.errors import (
     SpindexError,
     UnstableCutoff,
 )
-from spindex.localization import CUTOFF_ENV_VAR, resolve_config
-from spindex.weights import weight
+from spindex.localization import resolve_config
+from spindex.weights import weight, wscale
 
 
 def test_fixed_point_validation():
@@ -78,6 +81,26 @@ def test_orbit_model_data_is_weyl_equivariant(a2):
             for d, ts in data
         }
         assert mapped == data
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2"])
+def test_orbit_models_match_the_full_weyl_group(label):
+    # oracle: one fixed point per distinct image w(mu) over the listed group,
+    # with tangent weights w(beta) for the positive roots beta outside the Levi
+    rs = build_root_system(label)
+    for face in all_faces(rs):
+        for orbit in admissible_orbits_on_face(face, (Q(0), Q(4)), rs):
+            moving = [b for b in rs.positive_roots if b not in face.levi_positive_roots]
+            expected = {}
+            for w in rs.weyl_elements:
+                expected.setdefault(w.apply(orbit.mu),
+                                    frozenset(w.apply(b) for b in moving))
+            model = orbit_model(rs, orbit.mu)
+            got = {wscale(Q(1, 2), fp.det_weight): frozenset(fp.tangent_weights)
+                   for fp in model.fixed_points}
+            assert len(model.fixed_points) == len(got) == len(expected)
+            assert got == expected
+            assert all(len(fp.tangent_weights) == len(moving) for fp in model.fixed_points)
 
 
 def frozenset_multiset(items):
@@ -170,15 +193,6 @@ def test_non_generic_direction():
                         ExpansionConfig(direction_xi=weight([1, 2])))
 
 
-def test_cutoff_env_var(monkeypatch):
-    monkeypatch.setenv(CUTOFF_ENV_VAR, "1")
-    with pytest.raises(UnstableCutoff):
-        localized_index(su3_flag_bundle(2, 5))
-    monkeypatch.setenv(CUTOFF_ENV_VAR, "200")
-    assert localized_index(su3_flag_bundle(1, 3)) \
-        == 2 * VirtualCharacter.monomial(weight([0, 0]))
-
-
 def test_exact_cross_check(a1):
     model = orbit_model(a1, weight([2]))
     chi = localized_index(model)
@@ -219,6 +233,10 @@ def test_model_json_round_trip(tmp_path):
     again = model_from_json_obj(json.loads(text))
     assert localized_index(again) == localized_index(model)
     assert json.dumps(model_to_json_obj(again), indent=2, sort_keys=True) == text
+    assert obj["generic_stabilizer"] == [[1], [2]]
+    obj["generic_stabilizer"] = [[1], [1, 2]]
+    with pytest.raises(SpindexError, match="Levi-conjugate"):
+        model_from_json_obj(obj)
 
 
 def test_hand_written_model_file(a1, tmp_path):

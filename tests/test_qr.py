@@ -1,6 +1,9 @@
 """Vanishing predicates, the multiplicity formula, and full verification."""
 
 import dataclasses
+import itertools
+import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -11,6 +14,7 @@ from spindex import (
     FromMultiplicitiesProvider,
     TableEntry,
     TableProvider,
+    coadjoint_orbit,
     contributing_faces,
     decompose,
     decomposed_index,
@@ -24,7 +28,7 @@ from spindex import (
     verify_qr,
 )
 from spindex.errors import ProviderInvalid, ProviderMissingOrbit, SpindexError
-from spindex.localization import KirwanPiece, KirwanSet
+from spindex.localization import KirwanPiece, KirwanSet, kirwan_faces_met
 from spindex.roots import Face, StabilizerClass, face_from_vanishing_set
 from spindex.weights import weight
 
@@ -213,6 +217,43 @@ def test_validate_provider(a2):
         TableEntry(weight([Q(3, 2), 0]), 1, chamber="right"),
     ])
     assert validate_provider(consistent, model) == []
+
+
+def test_table_provider_lookup_takes_the_first_entry(a2):
+    model = su3_flag_bundle(1, 3)
+    table = TableProvider([
+        TableEntry(weight([Q(1, 2), 0]), 5),
+        TableEntry(weight([Q(3, 2), 0]), 1, chamber="left"),
+        TableEntry(weight([Q(3, 2), 0]), 2, chamber="right"),
+    ])
+    assert table.reduced_index(coadjoint_orbit(weight([Q(3, 2), 0]), a2), model) == 1
+    assert table.reduced_index(coadjoint_orbit(weight([Q(1, 2), 0]), a2), model) == 5
+    with pytest.raises(ProviderMissingOrbit):
+        table.reduced_index(coadjoint_orbit(weight([0, Q(1, 2)]), a2), model)
+
+
+def _faces_met_by_subsets(points, rs):
+    """Every nonempty subset's common zero set: the exhaustive oracle."""
+    return {
+        face_from_vanishing_set(frozenset(
+            i + 1 for i in range(rs.rank) if all(p[i] == 0 for p in subset)), rs)
+        for size in range(1, len(points) + 1)
+        for subset in itertools.combinations(points, size)
+    }
+
+
+def test_kirwan_faces_met_is_closed_under_intersection(a3):
+    rng = random.Random(0)
+    open_face = face_from_vanishing_set(frozenset(), a3)
+    for n in [1, 2, 3, 5, 8] * 6:
+        points = tuple(weight([rng.choice([0, 0, 1, 2]) for _ in range(3)]) for _ in range(n))
+        kirwan = KirwanSet((KirwanPiece(face=open_face, points=points),))
+        assert kirwan_faces_met(kirwan, a3) == _faces_met_by_subsets(points, a3)
+    points = tuple(weight([rng.choice([0, 1]) for _ in range(3)]) for _ in range(40))
+    start = time.monotonic()
+    met = kirwan_faces_met(KirwanSet((KirwanPiece(face=open_face, points=points),)), a3)
+    assert time.monotonic() - start < 1  # 2^40 subsets would never finish
+    assert met == _faces_met_by_subsets(tuple(set(points)), a3)  # repeats change nothing
 
 
 def test_report_json_shape(a2):

@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, faces, and stabilizer classes."""
 
 import math
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -56,6 +57,7 @@ def test_a3_counts():
 def test_type_zoo(label, order, npos):
     rs = build_root_system(label)
     assert rs.weyl_order() == order
+    assert len({w.matrix for w in rs.weyl_elements}) == order
     assert len(rs.positive_roots) == npos
     # rho is half the sum of positive roots and all-ones in omega coordinates
     half = wscale(Q(1, 2), _wsum(rs.positive_roots, rs.rank))
@@ -69,10 +71,18 @@ def _wsum(ws, rank):
     return total
 
 
-def test_weyl_cap():
+def test_orbit_bound():
+    assert build_root_system("F4").weyl_order() == 1152
+    # building walks only the root orbits, so E7 and E8 build although W does not fit
+    assert len(build_root_system("E7").positive_roots) == 63
+    e8 = build_root_system("E8")
+    assert len(e8.positive_roots) == 120
     with pytest.raises(WeylGroupTooLarge):
-        build_root_system("F4")  # |W| = 1152 > default cap
-    assert build_root_system("F4", weyl_cap=2000).weyl_order() == 1152
+        e8.weyl_order()
+    start = time.monotonic()
+    with pytest.raises(WeylGroupTooLarge):
+        stabilizer_classes(build_root_system("E7"))  # the rho orbit has 2,903,040 points
+    assert time.monotonic() - start < 20
 
 
 def test_unknown_and_invalid_types():
@@ -266,3 +276,51 @@ def test_stabilizer_classes_partition(a2, a3, b2):
         for c in classes:
             for f in c.representative_faces[1:]:
                 assert levi_conjugate(c.representative_faces[0], f, rs) is not None
+
+
+def _maps_levi_onto(w, f1, f2):
+    """Whether w carries the Levi roots of f1 into those of f2, up to sign."""
+    allowed = set(f2.levi_positive_roots) | {tuple(-c for c in r)
+                                             for r in f2.levi_positive_roots}
+    return all(w.apply(beta) in allowed for beta in f1.levi_positive_roots)
+
+
+def _pairwise_classes(rs):
+    """Greedy partition by a pairwise scan over the full Weyl group: the oracle."""
+    classes = []
+    for f in all_faces(rs):
+        for cls in classes:
+            if len(cls[0].levi_positive_roots) == len(f.levi_positive_roots) and any(
+                    _maps_levi_onto(w, cls[0], f) for w in rs.weyl_elements):
+                cls.append(f)
+                break
+        else:
+            classes.append([f])
+    return [tuple(cls) for cls in classes]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                   "D4", "G2", "A2xA1"])
+def test_stabilizer_classes_match_pairwise_scan(label):
+    rs = build_root_system(label)
+    classes = [c.representative_faces for c in stabilizer_classes(rs)]
+    assert classes == _pairwise_classes(rs)
+    class_of = {f: n for n, members in enumerate(classes) for f in members}
+    for f1 in all_faces(rs):
+        for f2 in all_faces(rs):
+            w = levi_conjugate(f1, f2, rs)
+            assert (w is not None) == (class_of[f1] == class_of[f2])
+            assert w is None or _maps_levi_onto(w, f1, f2)
+
+
+@pytest.mark.parametrize("label, sizes", [
+    ("F4", [1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3]),
+    # frozen from a brute-force pairwise scan over the 51,840 elements of W(E6)
+    ("E6", [1, 1, 1, 1, 1, 1, 2, 2, 4, 4, 5, 5, 5, 5, 6, 10, 10]),
+])
+def test_exceptional_stabilizer_classes(label, sizes):
+    rs = build_root_system(label)
+    classes = stabilizer_classes(rs)
+    assert sorted(len(c.representative_faces) for c in classes) == sizes
+    members = [f for c in classes for f in c.representative_faces]
+    assert len(members) == 2 ** rs.rank and set(members) == set(all_faces(rs))
