@@ -5,7 +5,10 @@ as a sparse map keyed by exact coordinates.  Irreducible characters are built
 by exact division of alternating sums by the Weyl denominator, one binomial
 (1 - t^{-beta}) per positive root at a time, and decomposition into
 irreducibles runs two independent algorithms - antisymmetrization and peeling
-- whose agreement is enforced on every call.
+- whose agreement is enforced on every call.  Both run on the dominant
+chamber after the invariance check: a Weyl-invariant character is determined
+by its dominant weights, and the multiplicities are the strictly dominant
+coefficients of chi * A_rho.
 
 Characters are indexed by infinitesimal character: ``pi(lam)`` has highest
 weight ``lam - rho``.
@@ -14,6 +17,7 @@ weight ``lam - rho``.
 from __future__ import annotations
 
 import cmath
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -30,7 +34,6 @@ from .weights import (
     format_weight,
     is_integral,
     is_strictly_dominant,
-    wadd,
     wdot,
     weight_from_json,
     weight_to_json,
@@ -75,6 +78,13 @@ class VirtualCharacter:
         return cls()
 
     @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], int]) -> "VirtualCharacter":
+        """Wrap int-tuple keys with nonzero coefficients without normalizing them."""
+        out = cls()
+        out._terms = terms
+        return out
+
+    @classmethod
     def monomial(cls, w: Weight, coeff: int = 1) -> "VirtualCharacter":
         return cls([(w, coeff)])
 
@@ -105,14 +115,10 @@ class VirtualCharacter:
             acc[w] = acc.get(w, 0) + c
             if acc[w] == 0:
                 del acc[w]
-        out = VirtualCharacter.zero()
-        out._terms = acc
-        return out
+        return VirtualCharacter._of(acc)
 
     def __neg__(self) -> "VirtualCharacter":
-        out = VirtualCharacter.zero()
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return VirtualCharacter._of({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + (-other)
@@ -121,29 +127,26 @@ class VirtualCharacter:
         if isinstance(other, int):
             if other == 0:
                 return VirtualCharacter.zero()
-            out = VirtualCharacter.zero()
-            out._terms = {w: c * other for w, c in self._terms.items()}
-            return out
+            return VirtualCharacter._of({w: c * other for w, c in self._terms.items()})
         if isinstance(other, VirtualCharacter):
             acc: dict[tuple[int, ...], int] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     key = tuple(a + b for a, b in zip(w1, w2))
                     acc[key] = acc.get(key, 0) + c1 * c2
-            out = VirtualCharacter.zero()
-            out._terms = {w: c for w, c in acc.items() if c}
-            return out
+            return VirtualCharacter._of({w: c for w, c in acc.items() if c})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def apply(self, elem: WeylElement) -> "VirtualCharacter":
-        out = VirtualCharacter.zero()
-        out._terms = {elem.apply(w): c for w, c in self._terms.items()}
-        return out
+        return VirtualCharacter._of({elem.apply(w): c for w, c in self._terms.items()})
 
     def is_weyl_invariant(self, rs: RootSystem) -> bool:
-        return all(self.apply(s) == self for s in rs.simple_reflections())
+        """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w)."""
+        terms = self._terms
+        return all(terms.get(rs.reflect(i, w)) == c
+                   for w, c in terms.items() for i in range(rs.rank) if w[i])
 
     def evaluate(self, theta: Iterable[float]) -> complex:
         """Numeric value sum c_mu exp(i <mu, theta>) in double precision."""
@@ -312,7 +315,8 @@ def dimension(lam: Weight, rs: RootSystem) -> int:
     num = Fraction(1)
     for beta in rs.positive_roots:
         num *= rs.coroot_pairing(lam, beta) / rs.coroot_pairing(rs.rho, beta)
-    assert num.denominator == 1 and num > 0
+    if num.denominator != 1 or num <= 0:
+        raise MethodMismatch(f"the dimension formula gives {num} at ({format_weight(lam)})")
     return int(num)
 
 
@@ -321,40 +325,85 @@ def evaluate_numeric(chi: VirtualCharacter, theta: Iterable[float]) -> complex:
     return chi.evaluate(theta)
 
 
+def _heap_entry(w: tuple[int, ...], rs: RootSystem) -> tuple:
+    # heapq pops its least entry, so negate height_key's (height, lex) order
+    ht, _ = rs.height_key(w)
+    return -ht, tuple(-x for x in w), w
+
+
+def _dominant_part(lam: tuple[int, ...], rs: RootSystem) -> dict[tuple[int, ...], int]:
+    """Dominant weights of chi_lam with their multiplicities; cached per root system."""
+    cached = rs.char_cache.get(("dominant", lam))
+    if cached is None:
+        cached = {w: c for w, c in weyl_character(lam, rs)._terms.items() if min(w) >= 0}
+        rs.char_cache[("dominant", lam)] = cached
+    return cached
+
+
 def _peel(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
     """Decompose by repeatedly subtracting the top irreducible.
 
-    The leading weight is the maximal dominant support weight under the
-    (coroot height, lex) order; height makes the dominant member of each Weyl
-    orbit maximal, which literal lex alone does not.
+    The leading weight is the maximal support weight under the (coroot
+    height, lex) order; height makes the dominant member of each Weyl orbit
+    maximal, which literal lex alone does not.  The top of the full support is
+    tested once.  After that only dominant weights are kept and subtracted,
+    which is exact for a Weyl-invariant chi because every chi_lam is
+    Weyl-invariant too: a heap holds the remaining dominant weights, and a
+    weight that a subtraction brings back is pushed again.
     """
-    rem = chi
-    out: dict[Weight, int] = {}
-    while rem:
-        nu = max(rem._terms, key=rs.height_key)
-        if any(c < 0 for c in nu):
+    if chi:
+        top = max(chi._terms, key=rs.height_key)
+        if min(top) < 0:
             raise NonDominantLeadingTerm(
-                f"leading weight {nu} is not dominant; not a character of the group")
-        lam = wadd(nu, rs.rho)
-        c = rem._terms[nu]
-        out[lam] = out.get(lam, 0) + c
-        rem = rem - c * weyl_character(lam, rs)
-    return {lam: m for lam, m in out.items() if m}
+                f"leading weight {top} is not dominant; not a character of the group")
+    rem = {w: c for w, c in chi._terms.items() if min(w) >= 0}
+    heap = [_heap_entry(w, rs) for w in rem]
+    heapq.heapify(heap)
+    out: dict[Weight, int] = {}
+    while heap:
+        nu = heapq.heappop(heap)[-1]
+        c = rem.get(nu)
+        if c is None:
+            continue  # cancelled after it was pushed
+        lam = tuple(x + 1 for x in nu)  # nu + rho; rho = (1, ..., 1)
+        out[lam] = c
+        for w, m in _dominant_part(lam, rs).items():
+            left = rem.get(w, 0) - c * m
+            if not left:
+                del rem[w]
+                continue
+            if w not in rem:
+                heapq.heappush(heap, _heap_entry(w, rs))
+            rem[w] = left
+    return out
 
 
 def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
-    """Multiplicities read off the strictly dominant part of chi * D."""
-    product = chi * weyl_denominator(rs)
-    return {
-        w: c for w, c in product.terms().items() if is_strictly_dominant(w)
-    }
+    """Multiplicities read off the strictly dominant part of chi * A_rho.
+
+    Only the products t^{v + d} that land strictly dominant are added up,
+    with d running over the rho orbit; so a weight v of chi can contribute
+    only when v_i > -max_d d_i on every axis.
+    """
+    denominator = weyl_denominator(rs)._terms
+    floor = [-max(d[i] for d in denominator) for i in range(rs.rank)]
+    near = [(v, c) for v, c in chi._terms.items() if all(x > f for x, f in zip(v, floor))]
+    acc: dict[Weight, int] = {}
+    for d, s in denominator.items():
+        for v, c in near:
+            x = tuple(a + b for a, b in zip(v, d))
+            if min(x) > 0:
+                acc[x] = acc.get(x, 0) + s * c
+    return {x: m for x, m in acc.items() if m}
 
 
 def decompose(chi: VirtualCharacter, rs: RootSystem) -> Decomposition:
     """Decompose a Weyl-invariant virtual character into irreducibles.
 
-    Runs antisymmetrization and peeling independently and insists they agree;
-    a disagreement is a bug signal, never silently resolved.
+    Checks invariance under the simple reflections, then runs
+    antisymmetrization and peeling on the dominant chamber independently and
+    insists they agree; a disagreement is a bug signal, never silently
+    resolved.
     """
     if not chi.is_weyl_invariant(rs):
         raise NotWeylInvariant("input character is not Weyl-invariant")

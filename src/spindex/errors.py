@@ -63,6 +63,10 @@ class UnstableCutoff(SpindexError):
     """Truncated expansions at N and N+margin disagree; N must be raised."""
 
 
+class KirwanHullTooLarge(SpindexError):
+    """A Kirwan point piece has more than 2^16 subsets to test for hull membership."""
+
+
 class ProviderMissingOrbit(SpindexError):
     """A table provider has no entry for a required orbit."""
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .characters import VirtualCharacter
 from .errors import (
+    KirwanHullTooLarge,
     NonGenericDirection,
     NotAdmissible,
     ParityViolation,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .orbits import CoadjointOrbit, _admissible_values, coadjoint_orbit, is_admissible
 from .roots import (
+    _ORBIT_BOUND,
     Face,
     RootSystem,
     StabilizerClass,
@@ -279,7 +281,9 @@ class _PointData:
         nu = wscale(Fraction(1, 2),
                     wsub(fp.det_weight, _sum_weights([weight(a) for a in oriented],
                                                      len(fp.det_weight))))
-        assert is_integral(nu)  # guaranteed by the parity check
+        if not is_integral(nu):
+            raise ParityViolation(f"fixed point {fp.label!r}: the series base point "
+                                  f"({format_weight(nu)}) is not a lattice weight")
         self.label = fp.label
         self.nu = tuple(int(c) for c in nu)
         self.oriented = oriented
@@ -391,18 +395,16 @@ def localized_index(model: ManifoldModel, cfg: ExpansionConfig | None = None) ->
         raise UnstableCutoff(
             f"cutoff {cutoff} is too shallow for model {model.name!r}: "
             f"{int(unstable.sum())} uncanceled terms in the stability margin; raise N")
-    # balanced mixed-radix decode: shift into nonnegative digits, then peel
-    offset = sum(b * s for b, s in zip(bounds, strides))
-    terms = []
-    for key, c in zip(keys.tolist(), coef.tolist()):
-        k = int(key) + offset
-        coords = []
-        for b in bounds:
-            k, digit = divmod(k, 2 * b + 1)
-            coords.append(digit - b)
-        assert k == 0
-        terms.append((weight(coords), int(c)))
-    return VirtualCharacter(terms)
+    # balanced mixed-radix decode: shift into nonnegative digits, then split
+    # off one axis per divmod; the keys are unique and the coefficients nonzero
+    k = keys + sum(b * s for b, s in zip(bounds, strides))
+    coords = []
+    for b in bounds:
+        k, digit = np.divmod(k, 2 * b + 1)
+        coords.append((digit - b).tolist())
+    if np.any(k):
+        raise SpindexError("a packed key lies outside the expansion window")
+    return VirtualCharacter._of(dict(zip(zip(*coords), coef.tolist())))
 
 
 def _at(y: list[int], x) -> int:
@@ -449,6 +451,9 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     tangent weights are the w-images of the positive roots outside the Levi.
     """
     mu = weight(mu)
+    if len(mu) != rs.rank:
+        raise SpindexError(
+            f"orbit_model needs a rank-{rs.rank} weight for {rs.label}, got rank {len(mu)}")
     if not is_admissible(mu, rs):
         raise NotAdmissible(f"orbit through ({format_weight(mu)}) is not admissible")
     sigma = face_of(mu, rs)
@@ -564,7 +569,8 @@ def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> 
 
 def _free_coordinate(face: Face, rank: int) -> int:
     free = [i for i in range(rank) if (i + 1) not in face.vanishing_set]
-    assert len(free) == 1
+    if len(free) != 1:
+        raise SpindexError("segment pieces are only defined on ray faces")
     return free[0]
 
 
@@ -595,9 +601,19 @@ def _affine_solve(points: list[Weight], x: Weight) -> bool:
 
 
 def _in_hull(points: tuple[Weight, ...], x: Weight) -> bool:
+    """Whether x is a convex combination of some <= rank + 1 of the points.
+
+    Tries every such subset, so a piece with more than 2^16 of them raises
+    KirwanHullTooLarge before the first one.
+    """
+    rank = len(x)
+    subsets = sum(math.comb(len(points), k) for k in range(1, rank + 2))
+    if subsets > _ORBIT_BOUND:
+        raise KirwanHullTooLarge(
+            f"a Kirwan piece of {len(points)} points in rank {rank} has {subsets} "
+            f"hull subsets, more than {_ORBIT_BOUND}")
     if x in points:
         return True
-    rank = len(x)
     for size in range(1, min(len(points), rank + 1) + 1):
         for subset in itertools.combinations(points, size):
             if _affine_solve(list(subset), x):

@@ -90,7 +90,9 @@ def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     if not is_regular(shifted, rs):
         return OrbitIndex.zero()
     # a regular shift of an admissible point is dominant and integral
-    assert is_dominant(shifted) and is_integral(shifted)
+    if not (is_dominant(shifted) and is_integral(shifted)):
+        raise NotAdmissible(f"orbit {orbit.label()} shifts to ({format_weight(shifted)}), "
+                            f"which is not a dominant lattice weight")
     return OrbitIndex.irreducible(shifted)
 
 
@@ -164,6 +166,7 @@ def admissible_orbits_on_face(
         for i, c in zip(free, combo):
             mu[i] = c
         orbit = coadjoint_orbit(tuple(mu), rs)
-        assert is_admissible(orbit.mu, rs)
+        if not is_admissible(orbit.mu, rs):
+            raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
         orbits.append(orbit)
     return orbits

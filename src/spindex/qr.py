@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Decomposition
-from .errors import NotRegularDominant, ProviderInvalid, ProviderMissingOrbit, SpindexError
+from .errors import (
+    NotAdmissible,
+    NotRegularDominant,
+    ProviderInvalid,
+    ProviderMissingOrbit,
+    SpindexError,
+)
 from .localization import (
     ExpansionConfig,
     ManifoldModel,
@@ -191,7 +197,8 @@ def multiplicity(model: ManifoldModel, lam: Weight, provider) -> int:
         if not kirwan_contains(model.kirwan, mu, rs):
             continue
         orbit = coadjoint_orbit(mu, rs)
-        assert is_admissible(orbit.mu, rs)
+        if not is_admissible(orbit.mu, rs):
+            raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
         total += provider.reduced_index(orbit, model)
     return total
 

@@ -267,7 +267,8 @@ class RootSystem:
             beta: frozenset(i + 1 for i, c in enumerate(k) if c) for beta, (k, _) in data.items()}
         self.rho: Weight = wscale(Fraction(1, 2),
                                   reduce(wadd, self.positive_roots, zero_weight(self.rank)))
-        assert self.rho == weight([1] * self.rank), "rho must be all-ones in omega coordinates"
+        if self.rho != weight([1] * self.rank):
+            raise UnknownType("the positive roots do not sum to 2 rho = (2, ..., 2)")
         # 2 rho-check functional: positive on the open chamber, Weyl-orbit maxima dominant
         self._height_fun = tuple(
             sum(f[i] for f in self._coroot_funs.values()) for i in range(self.rank)

@@ -15,17 +15,21 @@ from spindex import (
     decompose,
     dimension,
     evaluate_numeric,
+    localized_index,
+    orbit_model,
+    su3_flag_bundle,
     weyl_character,
     weyl_denominator,
 )
-from spindex.characters import _alternating_sum, divide_by_binomial
+from spindex.characters import _alternating_sum, _antisymmetrize, _peel, divide_by_binomial
 from spindex.errors import (
     MethodMismatch,
+    NonDominantLeadingTerm,
     NotInShiftedLattice,
     NotRegularDominant,
     NotWeylInvariant,
 )
-from spindex.weights import weight
+from spindex.weights import is_strictly_dominant, wadd, weight
 
 # explicit weight lists for the two 3-dimensional A2 representations;
 # these serve as the independent oracle for products and decompositions
@@ -133,16 +137,69 @@ def test_decompose_roundtrip_grid(a1, a2, a3):
 def test_decompose_requires_weyl_invariance(a2):
     with pytest.raises(NotWeylInvariant):
         decompose(VirtualCharacter.monomial(weight([1, 0])), a2)
+    # s_1 swaps (1,0) and (-1,1); s_2 fixes (1,0) but sends (-1,1) to (0,-1)
+    chi = VirtualCharacter({weight([1, 0]): 1, weight([-1, 1]): 1})
+    s1, s2 = a2.simple_reflections()
+    assert chi.apply(s1) == chi and chi.apply(s2) != chi
+    assert not chi.is_weyl_invariant(a2)
+    with pytest.raises(NotWeylInvariant):
+        decompose(chi, a2)
 
 
 def test_peel_rejects_non_dominant_leading_weight(a2):
     # the guard behind the invariance check: a lone anti-dominant monomial has
     # no dominant leading weight to peel at
-    from spindex.characters import _peel
-    from spindex.errors import NonDominantLeadingTerm
-
     with pytest.raises(NonDominantLeadingTerm):
         _peel(VirtualCharacter.monomial(weight([-1, -1])), a2)
+
+
+def test_peel_brings_back_a_cancelled_weight(a2):
+    # chi_(3,1) (highest weight (2,0)) and chi_(1,2) (highest weight (0,1)) both
+    # hold (0,1) once, so their difference lacks it until chi_(3,1) is peeled
+    chi = weyl_character(weight([3, 1]), a2) - weyl_character(weight([1, 2]), a2)
+    assert chi.coefficient(weight([0, 1])) == 0
+    assert weyl_character(weight([1, 2]), a2).coefficient(weight([0, 1])) == 1
+    expected = {weight([3, 1]): 1, weight([1, 2]): -1}
+    assert _peel(chi, a2) == expected == _full_support_peel(chi, a2)
+    assert decompose(chi, a2) == Decomposition(expected)
+
+
+def _full_support_peel(chi, rs):
+    """Oracle: subtract the whole top irreducible, every weight of it, until nothing is left."""
+    rem = chi
+    out = {}
+    while rem:
+        nu = max(rem.terms(), key=rs.height_key)
+        if any(c < 0 for c in nu):
+            raise NonDominantLeadingTerm(f"leading weight {nu} is not dominant")
+        lam = wadd(nu, rs.rho)
+        c = rem.coefficient(nu)
+        out[lam] = out.get(lam, 0) + c
+        rem = rem - c * weyl_character(lam, rs)
+    return {lam: m for lam, m in out.items() if m}
+
+
+@pytest.mark.parametrize("label,mu", [("A1", [4]), ("A2", [4, 2]), ("A3", [3, 2, 1]),
+                                      ("B2", [3, 2]), ("G2", [2, 1])])
+def test_dominant_chamber_methods_match_the_full_support_oracles(label, mu):
+    rs = build_root_system(label)
+    chi = localized_index(orbit_model(rs, weight(mu)))
+    assert chi.is_weyl_invariant(rs)
+    assert all(chi.apply(s) == chi for s in rs.simple_reflections())
+    product = chi * weyl_denominator(rs)
+    by_product = {w: c for w, c in product.terms().items() if is_strictly_dominant(w)}
+    assert _antisymmetrize(chi, rs) == by_product == _full_support_peel(chi, rs)
+    assert decompose(chi, rs) == Decomposition(by_product)
+
+
+def test_dominant_chamber_decompose_matches_the_full_support_peel_on_su3():
+    # decompose also checks its own peel against its antisymmetrization
+    for a in range(0, 41, 5):
+        for b in range(0, 41, 5):
+            model = su3_flag_bundle(a, b)
+            chi = localized_index(model)
+            rs = model.root_system
+            assert decompose(chi, rs) == Decomposition(_full_support_peel(chi, rs))
 
 
 def test_decompose_linearity_seeded(a2):

@@ -71,6 +71,13 @@ def test_orbit_model_requires_admissible(a2):
         orbit_model(a2, weight([1, 0]))
 
 
+def test_orbit_model_checks_the_rank_of_mu(a2):
+    with pytest.raises(SpindexError, match="rank-2 weight for A2, got rank 1"):
+        orbit_model(a2, weight([1]))
+    with pytest.raises(SpindexError, match="got rank 3"):
+        orbit_model(a2, weight([1, 1, 1]))
+
+
 def test_orbit_model_data_is_weyl_equivariant(a2):
     model = orbit_model(a2, weight([Q(3, 2), 0]))
     data = {(fp.det_weight, frozenset_multiset(fp.tangent_weights))
@@ -122,6 +129,14 @@ def test_localized_indices_are_weyl_invariant(a2, a3):
         su3_flag_bundle(2, 2),
     ]:
         assert localized_index(model).is_weyl_invariant(model.root_system)
+
+
+def test_localized_index_keys_are_int_tuples(a3):
+    for model in (su3_flag_bundle(3, 1), orbit_model(a3, weight([2, 1, 1]))):
+        chi = localized_index(model)
+        assert chi
+        assert all(type(c) is int for w in chi.terms() for c in w)
+        assert all(type(m) is int and m for m in chi.terms().values())
 
 
 def test_su3_flag_bundle_structure():

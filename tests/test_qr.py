@@ -27,8 +27,13 @@ from spindex import (
     vanishes_by_stabilizer,
     verify_qr,
 )
-from spindex.errors import ProviderInvalid, ProviderMissingOrbit, SpindexError
-from spindex.localization import KirwanPiece, KirwanSet, kirwan_faces_met
+from spindex.errors import (
+    KirwanHullTooLarge,
+    ProviderInvalid,
+    ProviderMissingOrbit,
+    SpindexError,
+)
+from spindex.localization import KirwanPiece, KirwanSet, kirwan_contains, kirwan_faces_met
 from spindex.roots import Face, StabilizerClass, face_from_vanishing_set
 from spindex.weights import weight
 
@@ -254,6 +259,32 @@ def test_kirwan_faces_met_is_closed_under_intersection(a3):
     met = kirwan_faces_met(KirwanSet((KirwanPiece(face=open_face, points=points),)), a3)
     assert time.monotonic() - start < 1  # 2^40 subsets would never finish
     assert met == _faces_met_by_subsets(tuple(set(points)), a3)  # repeats change nothing
+
+
+def test_kirwan_hull_membership_on_small_pieces(a2, a3):
+    # oracle: the simplex with vertices 0 and 2 e_i is {x >= 0, sum x <= 2};
+    # the extra points lie inside it and change nothing
+    for rs in (a2, a3):
+        n = rs.rank
+        units = [tuple(2 * int(i == j) for j in range(n)) for i in range(n)]
+        inner = [tuple([1] + [0] * (n - 1)), tuple([Q(1, 2)] * n)]
+        piece = KirwanPiece(face=face_from_vanishing_set(frozenset(), rs),
+                            points=tuple(weight(p) for p in [(0,) * n] + units + inner))
+        kirwan = KirwanSet((piece,))
+        for x in itertools.product([Q(k, 2) for k in range(6)], repeat=n):
+            assert kirwan_contains(kirwan, weight(x), rs) == (sum(x) <= 2), x
+
+
+def test_kirwan_hull_subsets_are_bounded(a3):
+    # 40 points in rank 3: C(40,1) + ... + C(40,4) = 102,090 subsets > 2^16
+    rng = random.Random(1)
+    points = tuple(weight([rng.randint(1, 9) for _ in range(3)]) for _ in range(40))
+    kirwan = KirwanSet((KirwanPiece(face=face_from_vanishing_set(frozenset(), a3),
+                                    points=points),))
+    start = time.monotonic()
+    with pytest.raises(KirwanHullTooLarge, match="102090 hull subsets"):
+        kirwan_contains(kirwan, points[0], a3)
+    assert time.monotonic() - start < 1
 
 
 def test_report_json_shape(a2):
