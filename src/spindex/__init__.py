@@ -11,7 +11,6 @@ from .characters import (
 )
 from .errors import SpindexError
 from .localization import (
-    ExpansionConfig,
     FixedPointDatum,
     KirwanPiece,
     KirwanSet,

@@ -17,7 +17,6 @@ from .characters import decompose, dimension
 from .errors import SpindexError
 from .localization import (
     CALIBRATED_CONVENTION,
-    ExpansionConfig,
     exact_cross_check,
     localized_index,
     model_from_json_obj,
@@ -77,8 +76,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--b", type=_arg_type(_int_at_least(0), "a nonnegative integer"))
         sp.add_argument("--convention", default=CALIBRATED_CONVENTION,
                         choices=["calibrated", "literal"])
-        sp.add_argument("--cutoff", type=_arg_type(_int_at_least(1), "a positive integer"),
-                        help="expansion pairing depth override")
 
     sp = sub.add_parser("faces", help="list chamber faces and stabilizer classes")
     sp.add_argument("--group", required=True)
@@ -148,12 +145,6 @@ def _resolve_model(args):
             raise _UsageError("builder 'su3-flag-bundle' needs --a and --b")
         return su3_flag_bundle(args.a, args.b, convention=args.convention)
     raise _UsageError(f"unknown model {name!r} (not a builder, not a .json path)")
-
-
-def _config(args) -> ExpansionConfig | None:
-    if getattr(args, "cutoff", None) is not None:
-        return ExpansionConfig(cutoff=args.cutoff)
-    return None
 
 
 def _parse_face(text: str, rs):
@@ -270,7 +261,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_index(args) -> int:
     model = _resolve_model(args)
-    chi = localized_index(model, _config(args))
+    chi = localized_index(model)
     if args.cross_check and not exact_cross_check(model, chi, args.trials, args.seed):
         raise SpindexError(f"cross-check failed: {model.name} differs from its fixed-point sum")
     if args.format == "json":
@@ -310,7 +301,7 @@ def _cmd_index(args) -> int:
 def _cmd_decompose(args) -> int:
     model = _resolve_model(args)
     rs = model.root_system
-    dec = decompose(localized_index(model, _config(args)), rs)
+    dec = decompose(localized_index(model), rs)
     if args.format == "json":
         _print_json({"model": model.name, "decomposition": dec.to_json_obj(rs)})
         return 0
@@ -329,11 +320,11 @@ def _cmd_verify_qr(args) -> int:
     model = _resolve_model(args)
     rs = model.root_system
     try:
-        provider = parse_provider_spec(args.provider, model, _config(args))
+        provider = parse_provider_spec(args.provider, model)
     except (ValueError, KeyError) as exc:  # constant:<not an integer>, or a malformed table
         raise _UsageError(f"cannot parse provider {args.provider!r}: {exc}") from None
     warnings = validate_provider(provider, model)
-    report = verify_qr(model, provider, _config(args))
+    report = verify_qr(model, provider)
     if args.format == "json":
         obj = report.to_json_obj(rs)
         obj["provider"] = provider.describe()

@@ -60,7 +60,7 @@ class NonGenericDirection(SpindexError):
 
 
 class UnstableCutoff(SpindexError):
-    """Truncated expansions at N and N+margin disagree; N must be raised."""
+    """The fixed-point sum is not a finite character: terms below its support bound survive."""
 
 
 class KirwanHullTooLarge(SpindexError):

@@ -9,9 +9,12 @@ The index is the finite Laurent polynomial
 computed by orienting every tangent weight against a generic rational
 direction xi (each flip contributes a sign), expanding each inverted factor as
 a geometric series t^{-alpha/2} sum_k t^{-k alpha}, truncating at a pairing
-depth N along xi, and summing over fixed points.  All terms below the true
-support cancel across fixed points; the engine verifies this by requiring the
-results at depths N and N + stability_margin to coincide.
+depth along xi, and summing over fixed points.  The direction is the first
+generic one of a fixed candidate list, and the depth reaches a few steps past
+a two-sided bound on the support of the sum, so both follow from the model.
+When the sum is a finite character, every term below that bound cancels
+across fixed points; the engine checks this over a fixed margin and raises
+UnstableCutoff when it fails.
 
 The per-fixed-point parity condition eta_p - sum_j alpha_pj in 2*Lambda is
 checked at construction: it is exactly what makes every exponent above land in
@@ -40,7 +43,7 @@ from .errors import (
     SpindexError,
     UnstableCutoff,
 )
-from .orbits import CoadjointOrbit, _admissible_values, coadjoint_orbit, is_admissible
+from .orbits import CoadjointOrbit, admissible_orbits_on_face, is_admissible
 from .roots import (
     _ORBIT_BOUND,
     Face,
@@ -69,6 +72,7 @@ from .weights import (
 )
 
 _PRIME = 2 ** 61 - 1  # the field of exact_cross_check
+_CANCELLATION_MARGIN = 5  # pairing depths below the support bound that must cancel
 
 _A2_CACHE: RootSystem | None = None
 
@@ -144,28 +148,6 @@ class KirwanSet:
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Expansion direction and truncation depth for the localization engine.
-
-    ``None`` fields resolve per model: the direction comes from a fixed list
-    of candidates (first one pairing nonzero against every tangent weight),
-    the cutoff from a provable window bound.
-    """
-
-    direction_xi: Weight | None = None
-    cutoff: int | None = None
-    stability_margin: int = 5
-
-    def __post_init__(self):
-        if self.direction_xi is not None:
-            object.__setattr__(self, "direction_xi", weight(self.direction_xi))
-        if self.cutoff is not None and self.cutoff < 1:
-            raise SpindexError("cutoff must be a positive integer")
-        if self.stability_margin < 1:
-            raise SpindexError("stability margin must be a positive integer")
-
-
 @dataclass(frozen=True, eq=False)
 class ManifoldModel:
     """A spin-c K-manifold at localization resolution.
@@ -186,6 +168,10 @@ class ManifoldModel:
         object.__setattr__(self, "info", tuple(self.info))
         rs = self.root_system
         for fp in self.fixed_points:
+            # FixedPointDatum checks parity when it is built, so every model's data passes it
+            if not isinstance(fp, FixedPointDatum):
+                raise SpindexError(
+                    f"fixed point {fp!r} is a {type(fp).__name__}, not a FixedPointDatum")
             if len(fp.det_weight) != rs.rank:
                 raise SpindexError(
                     f"fixed point {fp.label!r} has rank-{len(fp.det_weight)} data "
@@ -234,25 +220,15 @@ def _is_generic(xi: Weight, tangents) -> bool:
     return all(wdot(a, xi) != 0 for a in tangents)
 
 
-def resolve_config(model: ManifoldModel, cfg: ExpansionConfig | None) -> ExpansionConfig:
-    """Fill in direction and cutoff defaults for a model; pure and deterministic."""
-    cfg = cfg or ExpansionConfig()
+def _direction(model: ManifoldModel) -> Weight:
+    """The first candidate direction pairing nonzero against every tangent weight."""
     tangents = _tangent_set(model)
-    if cfg.direction_xi is not None:
-        if not _is_generic(cfg.direction_xi, tangents):
-            bad = next(a for a in sorted(tangents) if wdot(a, cfg.direction_xi) == 0)
-            raise NonGenericDirection(
-                f"direction {format_weight(cfg.direction_xi)} is orthogonal to "
-                f"tangent weight {format_weight(bad)}")
-        xi = cfg.direction_xi
-    else:
-        xi = next((c for c in _direction_candidates(model.root_system)
-                   if _is_generic(c, tangents)), None)
-        if xi is None:
-            raise NonGenericDirection(
-                f"no candidate expansion direction is generic for model {model.name!r}")
-    return ExpansionConfig(direction_xi=xi, cutoff=cfg.cutoff,
-                           stability_margin=cfg.stability_margin)
+    xi = next((c for c in _direction_candidates(model.root_system)
+               if _is_generic(c, tangents)), None)
+    if xi is None:
+        raise NonGenericDirection(
+            f"no candidate expansion direction is generic for model {model.name!r}")
+    return xi
 
 
 # -- the engine ----------------------------------------------------------------
@@ -358,28 +334,28 @@ def _combine(keys, pair, coef):
     return keys[starts], pair[starts], np.add.reduceat(coef, starts)
 
 
-def localized_index(model: ManifoldModel, cfg: ExpansionConfig | None = None) -> VirtualCharacter:
+def localized_index(model: ManifoldModel) -> VirtualCharacter:
     """Equivariant index of the model as a finite virtual character.
 
-    Raises UnstableCutoff when the truncation window is too shallow: the
-    results at depth N and N + stability_margin must be identical.
+    Raises NonGenericDirection when no candidate direction is generic, and
+    UnstableCutoff when the fixed-point sum is not a finite character.
     """
-    rs = model.root_system
-    for fp in model.fixed_points:
-        FixedPointDatum(fp.label, fp.det_weight, fp.tangent_weights)  # re-check parity
     if not model.fixed_points:
         return VirtualCharacter.zero()
-    cfg = resolve_config(model, cfg)
-    xi_int, den = _scale_direction(cfg.direction_xi)
+    return _localize(model, _direction(model))
+
+
+def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
+    """The series expansion along the generic direction xi, summed over fixed points."""
+    xi_int, den = _scale_direction(xi)
     points = [_PointData(fp, xi_int) for fp in model.fixed_points]
     top = max(pd.base for pd in points)
     low = min(pd.base - sum(pd.pairs) for pd in points)
-    cutoff = cfg.cutoff
-    if cutoff is None:
-        cutoff = max(1, math.ceil(Fraction(top - low, den))) + 2
-    margin = cfg.stability_margin
-    floor = top - (cutoff + margin) * den
-    result_floor = top - cutoff * den
+    # a finite sum has its support in [low, top] along xi, so the window
+    # reaches past it and every term in the margin below must cancel
+    depth = max(1, math.ceil(Fraction(top - low, den))) + 2
+    floor = top - (depth + _CANCELLATION_MARGIN) * den
+    result_floor = top - depth * den
     bounds, strides = _packing(points, top - floor)
     parts = [_expand_point(pd, floor, strides) for pd in points]
     keys = np.concatenate([p[0] for p in parts])
@@ -393,8 +369,8 @@ def localized_index(model: ManifoldModel, cfg: ExpansionConfig | None = None) ->
     unstable = pair < result_floor
     if np.any(unstable):
         raise UnstableCutoff(
-            f"cutoff {cutoff} is too shallow for model {model.name!r}: "
-            f"{int(unstable.sum())} uncanceled terms in the stability margin; raise N")
+            f"the fixed points of model {model.name!r} do not sum to a finite character: "
+            f"{int(unstable.sum())} terms below its support bound do not cancel")
     # balanced mixed-radix decode: shift into nonnegative digits, then split
     # off one axis per divmod; the keys are unique and the coefficients nonzero
     k = keys + sum(b * s for b, s in zip(bounds, strides))
@@ -657,44 +633,24 @@ def kirwan_faces_met(kirwan: KirwanSet, rs: RootSystem) -> set[Face]:
 
 
 def kirwan_admissible_orbits(kirwan: KirwanSet, face: Face, rs: RootSystem) -> list[CoadjointOrbit]:
-    """Admissible orbits whose representative lies in rel-int(face) and in the Kirwan set."""
-    found: set[Weight] = set()
-    shift = wsub(rs.rho, face.rho_sigma)
-    if any(shift[i - 1].denominator != 1 for i in face.vanishing_set):
-        return []
+    """Admissible orbits whose representative lies in rel-int(face) and in the Kirwan set.
+
+    Sorted by representative; point pieces filter their bounding box by hull membership.
+    """
     free = [i for i in range(rs.rank) if (i + 1) not in face.vanishing_set]
+    found: dict[Weight, CoadjointOrbit] = {}
     for piece in kirwan.pieces:
         if piece.segments and piece.face == face:
-            j = _free_coordinate(face, rs.rank)
             for lo, hi in piece.segments:
-                for c in _progression(shift[j] % 1, lo, hi):
-                    mu = tuple(c if i == j else Fraction(0) for i in range(rs.rank))
-                    found.add(mu)
+                for orbit in admissible_orbits_on_face(face, (lo, hi), rs):
+                    found[orbit.mu] = orbit
         if piece.points:
-            boxes = []
-            ok = True
-            for i in free:
-                lo = min(p[i] for p in piece.points)
-                hi = max(p[i] for p in piece.points)
-                vals = _progression(shift[i] % 1, lo, hi)
-                if not vals:
-                    ok = False
-                    break
-                boxes.append(vals)
-            if not ok:
-                continue
-            for combo in itertools.product(*boxes):
-                mu = [Fraction(0)] * rs.rank
-                for i, c in zip(free, combo):
-                    mu[i] = c
-                mu = tuple(mu)
-                if _in_hull(piece.points, mu):
-                    found.add(mu)
-    orbits = [coadjoint_orbit(mu, rs) for mu in sorted(found)]
-    return [o for o in orbits if o.face == face and is_admissible(o.mu, rs)]
-
-
-_progression = _admissible_values  # strictly positive residue-class points in [lo, hi]
+            box = {i + 1: (min(p[i] for p in piece.points), max(p[i] for p in piece.points))
+                   for i in free}
+            for orbit in admissible_orbits_on_face(face, box, rs):
+                if _in_hull(piece.points, orbit.mu):
+                    found[orbit.mu] = orbit
+    return [found[mu] for mu in sorted(found)]
 
 
 # -- moment sanity report --------------------------------------------------------
@@ -775,6 +731,9 @@ def model_from_json_obj(obj: dict) -> ManifoldModel:
         raise SpindexError("generic_stabilizer must list at least one face")
     if not set(faces) <= set(stabilizer_class_of_face(faces[0], rs).representative_faces):
         raise SpindexError("generic_stabilizer faces are not mutually Levi-conjugate")
+    info = obj.get("info", {})
+    if not isinstance(info, dict):
+        raise TypeError(f"model info must be a JSON object, got {type(info).__name__}")
     pieces = tuple(
         KirwanPiece(
             face=face_from_vanishing_set(frozenset(e["face"]), rs),
@@ -789,5 +748,5 @@ def model_from_json_obj(obj: dict) -> ManifoldModel:
         generic_stabilizer=StabilizerClass(faces),
         kirwan=KirwanSet(pieces),
         name=obj.get("name", "model"),
-        info=tuple(sorted(obj.get("info", {}).items())),
+        info=tuple(sorted(info.items())),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import Decomposition
+from .characters import Decomposition, decompose
 from .errors import (
     NotAdmissible,
     NotRegularDominant,
@@ -26,7 +26,6 @@ from .errors import (
     SpindexError,
 )
 from .localization import (
-    ExpansionConfig,
     ManifoldModel,
     kirwan_admissible_orbits,
     kirwan_contains,
@@ -256,15 +255,14 @@ class QRReport:
         }
 
 
-def verify_qr(model: ManifoldModel, provider,
-              cfg: ExpansionConfig | None = None) -> QRReport:
+def verify_qr(model: ManifoldModel, provider) -> QRReport:
     """Compare the decomposed localization index against the orbit sum.
 
     Orbit terms whose spin-c index is zero are listed in the report (reduced
     index and all) but contribute nothing to the right-hand character sum.
     """
     rs = model.root_system
-    lhs = _decomposed_index(model, cfg)
+    lhs = decomposed_index(model)
     faces = contributing_faces(model)
     terms: list[OrbitTerm] = []
     rhs_acc: dict[Weight, int] = {}
@@ -292,15 +290,9 @@ def verify_qr(model: ManifoldModel, provider,
     )
 
 
-def _decomposed_index(model: ManifoldModel, cfg: ExpansionConfig | None) -> Decomposition:
-    from .characters import decompose
-
-    return decompose(localized_index(model, cfg), model.root_system)
-
-
-def decomposed_index(model: ManifoldModel, cfg: ExpansionConfig | None = None) -> Decomposition:
+def decomposed_index(model: ManifoldModel) -> Decomposition:
     """Decomposition of the model's localized index (the report's left side)."""
-    return _decomposed_index(model, cfg)
+    return decompose(localized_index(model), model.root_system)
 
 
 # -- provider validation -----------------------------------------------------------------
@@ -344,8 +336,7 @@ def validate_provider(provider, model: ManifoldModel) -> list[str]:
     return warnings
 
 
-def parse_provider_spec(spec: str, model: ManifoldModel,
-                        cfg: ExpansionConfig | None = None):
+def parse_provider_spec(spec: str, model: ManifoldModel):
     """Provider mini-language: constant:<int>, table:<path>, from-multiplicities."""
     if spec.startswith("constant:"):
         return ConstantProvider(int(spec.split(":", 1)[1]))
@@ -361,5 +352,5 @@ def parse_provider_spec(spec: str, model: ManifoldModel,
         ]
         return TableProvider(entries)
     if spec == "from-multiplicities":
-        return FromMultiplicitiesProvider(decomposed_index(model, cfg))
+        return FromMultiplicitiesProvider(decomposed_index(model))
     raise ProviderInvalid(f"unknown provider spec {spec!r}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spindex import build_root_system, model_to_json_obj, orbit_model
 from spindex.cli import main
 
 
@@ -110,8 +111,8 @@ def test_index_cross_check_failure_exits_2(capsys, monkeypatch):
     from spindex import VirtualCharacter
 
     exact = cli.localized_index
-    monkeypatch.setattr(cli, "localized_index", lambda model, cfg=None:
-                        exact(model, cfg) + VirtualCharacter.monomial((0, 0)))
+    monkeypatch.setattr(cli, "localized_index", lambda model:
+                        exact(model) + VirtualCharacter.monomial((0, 0)))
     code, out, err = run(capsys, "index", "--model", "su3-flag-bundle",
                          "--a", "1", "--b", "3", "--cross-check")
     assert code == 2
@@ -119,11 +120,17 @@ def test_index_cross_check_failure_exits_2(capsys, monkeypatch):
     assert err.startswith("error: cross-check failed")
 
 
-def test_index_cutoff_override_error(capsys):
-    code, _, err = run(capsys, "index", "--model", "su3-flag-bundle",
-                       "--a", "2", "--b", "5", "--cutoff", "1")
+def test_index_of_a_sum_that_is_not_a_finite_character_exits_2(capsys, tmp_path):
+    model = tmp_path / "half.json"
+    model.write_text(json.dumps({
+        "group": "A1", "generic_stabilizer": [[]], "kirwan": [],
+        "fixed_points": [{"label": "p", "det_weight": ["2"], "tangent_weights": [["2"]]}],
+    }))
+    code, out, err = run(capsys, "index", "--model", str(model))
     assert code == 2
-    assert "too shallow" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "do not sum to a finite character" in err
 
 
 def test_table_provider_from_file(capsys, tmp_path):
@@ -181,6 +188,10 @@ def test_explicit_cartan_matrix_group(capsys):
     ("index", "--model", "su3-flag-bundle", "--a", "-1", "--b", "3"),
     ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "-1"),
     ("orbits", "--group", "A2", "--face", "s:7", "--max", "3"),
+    ("index", "--model", "{info_list}"),
+    ("index", "--model", "{info_text}"),
+    ("verify-qr", "--model", "{info_list}"),
+    ("export-model", "--model", "{info_text}"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     no_fixed_points = tmp_path / "no_fixed_points.json"
@@ -191,8 +202,12 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
                                     "generic_stabilizer": [[]], "kirwan": []}))
     not_json = tmp_path / "not_json.json"
     not_json.write_text("fixed_points: none\n")
-    argv = [a.format(no_fixed_points=no_fixed_points, mistyped=mistyped, not_json=not_json)
-            for a in argv]
+    files = {"no_fixed_points": no_fixed_points, "mistyped": mistyped, "not_json": not_json}
+    sphere = model_to_json_obj(orbit_model(build_root_system("A1"), (1,)))
+    for name, info in (("info_list", [["a", "b"]]), ("info_text", "x")):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(dict(sphere, info=info)))
+    argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -226,7 +241,6 @@ _FUZZ_VALUES = {
     "--a": (["0", "1", "2"], ["-1", "x"]),
     "--b": (["0", "1", "3"], ["-1", "x"]),
     "--convention": (["calibrated"], ["literal", "other"]),
-    "--cutoff": (["8", "40"], ["0", "1", "x"]),
     "--trials": (["1", "3"], ["0", "x"]),
     "--seed": (["0", "7"], ["x"]),
     "--provider": (["constant:1", "table:{table}", "from-multiplicities"],
@@ -237,7 +251,7 @@ _FUZZ_VALUES = {
     "--help": None,
     "--bogus": None,
 }
-_MODEL_FLAGS = ["--model", "--group", "--mu", "--a", "--b", "--convention", "--cutoff"]
+_MODEL_FLAGS = ["--model", "--group", "--mu", "--a", "--b", "--convention"]
 _FUZZ_COMMANDS = {
     "faces": ["--group", "--format"],
     "orbits": ["--group", "--face", "--max", "--format"],

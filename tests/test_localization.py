@@ -10,8 +10,8 @@ from spindex import (
     admissible_orbits_on_face,
     all_faces,
     build_root_system,
-    ExpansionConfig,
     FixedPointDatum,
+    ManifoldModel,
     VirtualCharacter,
     decompose,
     exact_cross_check,
@@ -30,7 +30,13 @@ from spindex.errors import (
     SpindexError,
     UnstableCutoff,
 )
-from spindex.localization import resolve_config
+from spindex.localization import (
+    _direction,
+    _direction_candidates,
+    _is_generic,
+    _localize,
+    _tangent_set,
+)
 from spindex.weights import weight, wscale
 
 
@@ -175,37 +181,54 @@ def test_su3_parity_conventions():
         assert "line=e4" in str(err.value)
 
 
-def test_cutoff_stability_default_vs_double(a2, a3):
+def one_point_model(group, eta, tangents):
+    return model_from_json_obj({
+        "name": "one-point", "group": group,
+        "fixed_points": [{"label": "p", "det_weight": eta, "tangent_weights": tangents}],
+        "generic_stabilizer": [[]], "kirwan": [],
+    })
+
+
+def test_index_is_independent_of_the_direction(a2, a3):
+    # the index is a function of the model alone: every other generic candidate
+    # direction expands to the same character as the one localized_index picks
+    b2, g2 = build_root_system("B2"), build_root_system("G2")
     for model in [
         su3_flag_bundle(2, 5),
         orbit_model(a2, weight([Q(5, 2), 0])),
         orbit_model(a3, weight([2, 1, 1])),
+        orbit_model(b2, weight([3, 2])),
+        orbit_model(g2, weight([2, 1])),
     ]:
-        cfg = resolve_config(model, None)
-        base = localized_index(model)
-        # reconstruct the auto cutoff so we can double it explicitly
-        import math
-
-        from spindex.localization import _PointData, _scale_direction
-
-        xi_int, den = _scale_direction(cfg.direction_xi)
-        pts = [_PointData(fp, xi_int) for fp in model.fixed_points]
-        top = max(p.base for p in pts)
-        low = min(p.base - sum(p.pairs) for p in pts)
-        auto = max(1, math.ceil(Q(top - low, den))) + 2
-        assert localized_index(model, ExpansionConfig(cutoff=auto)) == base
-        assert localized_index(model, ExpansionConfig(cutoff=2 * auto)) == base
+        chi = localized_index(model)
+        chosen = _direction(model)
+        others = [xi for xi in _direction_candidates(model.root_system)
+                  if xi != chosen and _is_generic(xi, _tangent_set(model))]
+        assert len(others) >= 3, model.name
+        for xi in others:
+            assert _localize(model, xi) == chi, (model.name, xi)
 
 
 def test_unstable_cutoff_raises():
-    with pytest.raises(UnstableCutoff):
-        localized_index(su3_flag_bundle(2, 5), ExpansionConfig(cutoff=1))
+    # t / (t - t^-1) = sum_k t^(-2k) has no lowest term
+    with pytest.raises(UnstableCutoff, match="do not sum to a finite character"):
+        localized_index(one_point_model("A1", ["2"], [["2"]]))
 
 
 def test_non_generic_direction():
+    # each of the five candidate directions for A2 is orthogonal to one of these
+    tangents = [["1", "-1"], ["16", "-15"], ["66", "-65"], ["4705", "-4753"],
+                ["16391", "-16383"]]
     with pytest.raises(NonGenericDirection):
-        localized_index(su3_flag_bundle(2, 5),
-                        ExpansionConfig(direction_xi=weight([1, 2])))
+        localized_index(one_point_model("A2", ["1", "1"], tangents))
+
+
+def test_model_fixed_points_must_be_fixed_point_data(a1):
+    model = orbit_model(a1, weight([1]))
+    fake = (model.fixed_points[0].label, model.fixed_points[0].det_weight,
+            model.fixed_points[0].tangent_weights)
+    with pytest.raises(SpindexError, match="not a FixedPointDatum"):
+        ManifoldModel(a1, (fake,), model.generic_stabilizer, model.kirwan, "fake")
 
 
 def test_exact_cross_check(a1):
