@@ -1,8 +1,8 @@
 """Fixed-point localization for equivariant spin-c indices.
 
 A manifold enters as a finite list of isolated torus-fixed points, each
-carrying the determinant-line weight eta_p and the list of tangent weights.
-The index is the finite Laurent polynomial
+carrying the determinant-line weight eta_p and the list of tangent weights,
+stored as int tuples.  The index is the finite Laurent polynomial
 
     sum_p  t^{eta_p/2} prod_j (t^{alpha_pj/2} - t^{-alpha_pj/2})^{-1},
 
@@ -15,6 +15,11 @@ a two-sided bound on the support of the sum, so both follow from the model.
 When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
 UnstableCutoff when it fails.
+
+Fixed points that share a multiset of oriented tangent weights (in an orbit
+model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
+expanded once, to the depth of the deepest of them, and each point takes the
+part within its own depth, shifted to its base point and signed.
 
 The per-fixed-point parity condition eta_p - sum_j alpha_pj in 2*Lambda is
 checked at construction: it is exactly what makes every exponent above land in
@@ -31,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -61,7 +67,6 @@ from .weights import (
     is_dominant,
     is_integral,
     wadd,
-    wdot,
     weight,
     weight_from_json,
     weight_to_json,
@@ -86,32 +91,48 @@ def _a2() -> RootSystem:
 
 @dataclass(frozen=True)
 class FixedPointDatum:
-    """Local data at one isolated fixed point: determinant weight and tangent weights."""
+    """Local data at one isolated fixed point: determinant weight and tangent weights.
+
+    Both are stored as int tuples, which compare and hash equal to the
+    Fraction tuples they may be given as.
+    """
 
     label: str
-    det_weight: Weight
-    tangent_weights: tuple[Weight, ...]
+    det_weight: tuple[int, ...]
+    tangent_weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "det_weight", weight(self.det_weight))
-        object.__setattr__(
-            self, "tangent_weights", tuple(weight(a) for a in self.tangent_weights))
-        if not is_integral(self.det_weight):
+        det = _lattice_point(self.det_weight)
+        if det is None:
             raise ParityViolation(
                 f"fixed point {self.label!r}: determinant weight must be integral")
+        tangents = []
         for a in self.tangent_weights:
-            if not is_integral(a):
+            t = _lattice_point(a)
+            if t is None:
                 raise ParityViolation(
-                    f"fixed point {self.label!r}: tangent weight {a} must be integral")
-            if all(c == 0 for c in a):
+                    f"fixed point {self.label!r}: tangent weight {weight(a)} must be integral")
+            if not any(t):
                 raise ParityViolation(
                     f"fixed point {self.label!r}: zero tangent weight (fixed points must be isolated)")
-        gap = wsub(self.det_weight, _sum_weights(self.tangent_weights, len(self.det_weight)))
-        if any(c.denominator != 1 or c.numerator % 2 for c in gap):
+            tangents.append(t)
+        gap = reduce(wsub, tangents, det)
+        if any(c % 2 for c in gap):
             raise ParityViolation(
                 f"fixed point {self.label!r}: eta - sum(tangent weights) = "
                 f"({format_weight(gap)}) is not in 2*Lambda; no spin-c structure "
                 f"has this determinant")
+        object.__setattr__(self, "det_weight", det)
+        object.__setattr__(self, "tangent_weights", tuple(tangents))
+
+
+def _lattice_point(coords) -> tuple[int, ...] | None:
+    """The coordinates as an int tuple, or None when one is not an integer."""
+    w = tuple(coords)
+    if all(type(c) is int for c in w):
+        return w
+    w = weight(w)
+    return tuple(c.numerator for c in w) if is_integral(w) else None
 
 
 def _sum_weights(ws, rank: int) -> Weight:
@@ -207,17 +228,23 @@ def _direction_candidates(rs: RootSystem) -> list[Weight]:
     cands = [h]
     cands.append(wadd(h, weight(Fraction(k, 2 * r + 3) for k in range(1, r + 1))))
     cands.append(wadd(h, weight(Fraction((r + 2) ** k, 97) for k in range(r))))
-    cands.append(weight(1 + Fraction(1, 97 ** k) for k in range(1, r + 1)))
     cands.append(wadd(h, weight(Fraction((2 * r + 5) ** k, 8191) for k in range(r))))
+    # last: its denominator 97^r makes the window, and so the expansion, long
+    cands.append(weight(1 + Fraction(1, 97 ** k) for k in range(1, r + 1)))
     return cands
 
 
-def _tangent_set(model: ManifoldModel) -> set[Weight]:
+def _tangent_set(model: ManifoldModel) -> set[tuple[int, ...]]:
     return {a for fp in model.fixed_points for a in fp.tangent_weights}
 
 
+def _pair(a, xi_int) -> int:
+    return sum(c * x for c, x in zip(a, xi_int))
+
+
 def _is_generic(xi: Weight, tangents) -> bool:
-    return all(wdot(a, xi) != 0 for a in tangents)
+    xi_int, _ = _scale_direction(xi)
+    return all(_pair(a, xi_int) for a in tangents)
 
 
 def _direction(model: ManifoldModel) -> Weight:
@@ -240,46 +267,34 @@ def _scale_direction(xi: Weight) -> tuple[tuple[int, ...], int]:
 
 
 class _PointData:
-    __slots__ = ("label", "nu", "oriented", "sign", "base", "pairs")
+    __slots__ = ("nu", "oriented", "sign", "base")
 
     def __init__(self, fp: FixedPointDatum, xi_int):
         sign = 1
         oriented = []
-        pairs = []
         for a in fp.tangent_weights:
-            p = sum(int(c) * x for c, x in zip(a, xi_int))
-            if p < 0:
+            if _pair(a, xi_int) < 0:
                 a = wneg(a)
-                p = -p
                 sign = -sign
-            oriented.append(tuple(int(c) for c in a))
-            pairs.append(p)
-        nu = wscale(Fraction(1, 2),
-                    wsub(fp.det_weight, _sum_weights([weight(a) for a in oriented],
-                                                     len(fp.det_weight))))
-        if not is_integral(nu):
-            raise ParityViolation(f"fixed point {fp.label!r}: the series base point "
-                                  f"({format_weight(nu)}) is not a lattice weight")
-        self.label = fp.label
-        self.nu = tuple(int(c) for c in nu)
-        self.oriented = oriented
+            oriented.append(a)
+        # eta - sum(oriented) differs from eta - sum(tangents), which
+        # FixedPointDatum checked is in 2*Lambda, by twice the flipped weights
+        self.nu = tuple(c // 2 for c in reduce(wsub, oriented, fp.det_weight))
+        self.oriented = tuple(sorted(oriented))
         self.sign = sign
-        self.base = sum(n * x for n, x in zip(self.nu, xi_int))
-        self.pairs = pairs
+        self.base = _pair(self.nu, xi_int)
 
 
-def _packing(points: list[_PointData], slab: int) -> tuple[list[int], list[int]]:
-    """Per-axis offsets and strides covering every exponent reachable in the slab."""
-    rank = len(points[0].nu) if points else 0
+def _packing(nus, series, slab: int) -> tuple[list[int], list[int]]:
+    """Per-axis offsets and strides covering every exponent reachable in the slab.
+
+    ``series`` holds (oriented weights, their pairings with xi) pairs.
+    """
     bounds = []
-    for i in range(rank):
-        reach = Fraction(0)
-        for pd in points:
-            for a, n in zip(pd.oriented, pd.pairs):
-                if a[i]:
-                    reach = max(reach, Fraction(abs(a[i]) * slab, n))
-        base = max(abs(pd.nu[i]) for pd in points) + math.ceil(reach)
-        bounds.append(base + 1)
+    for i in range(len(nus[0])):
+        reach = max((-(-abs(a[i]) * slab // n) for oriented, pairs in series
+                     for a, n in zip(oriented, pairs) if a[i]), default=0)
+        bounds.append(max(abs(nu[i]) for nu in nus) + reach + 1)
     strides = []
     acc = 1
     for b in bounds:
@@ -290,36 +305,30 @@ def _packing(points: list[_PointData], slab: int) -> tuple[list[int], list[int]]
     return bounds, strides
 
 
-def _expand_point(pd: _PointData, floor: int, strides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All series terms of one fixed point with pairing >= floor."""
-    if pd.base < floor:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    key0 = sum(c * s for c, s in zip(pd.nu, strides))
-    keys = np.array([key0], dtype=np.int64)
-    pair = np.array([pd.base], dtype=np.int64)
-    coef = np.array([1], dtype=np.int64)
-    for a, n in zip(pd.oriented, pd.pairs):
+def _expand_series(oriented, pairs, depth: int, strides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms t^{-v} of prod_a 1/(1 - t^{-a}) with <v, xi> <= depth, in order of <v, xi>.
+
+    Returns the packed keys of v, the pairings <v, xi> and the coefficients.
+    """
+    keys = np.zeros(1, dtype=np.int64)
+    drop = np.zeros(1, dtype=np.int64)
+    coef = np.ones(1, dtype=np.int64)
+    for a, n in zip(oriented, pairs):
         step = sum(c * s for c, s in zip(a, strides))
-        kmax = (pair - floor) // n
-        counts = kmax + 1
+        counts = (depth - drop) // n + 1
         total = int(counts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
         reps = np.repeat(np.arange(len(keys)), counts)
         karr = np.arange(total, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
-        keys = keys[reps] - karr * step
-        pair = pair[reps] - karr * n
+        keys = keys[reps] + karr * step
+        drop = drop[reps] + karr * n
         coef = coef[reps]
-        keys, pair, coef = _combine(keys, pair, coef)
+        keys, drop, coef = _combine(keys, drop, coef)
         # series lengths are < 2^13 at desk scale, so sums of values below
         # 2^48 cannot wrap int64 in the next combine
-        if len(coef) and int(coef.max()) >= 2 ** 48:
+        if int(coef.max()) >= 2 ** 48:
             raise SpindexError("coefficient growth exceeded the exact int64 budget")
-    if pd.sign < 0:
-        coef = -coef
-    return keys, pair, coef
+    order = np.argsort(drop, kind="stable")
+    return keys[order], drop[order], coef[order]
 
 
 def _combine(keys, pair, coef):
@@ -349,21 +358,31 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     """The series expansion along the generic direction xi, summed over fixed points."""
     xi_int, den = _scale_direction(xi)
     points = [_PointData(fp, xi_int) for fp in model.fixed_points]
+    groups: dict[tuple, list[_PointData]] = {}
+    for pd in points:
+        groups.setdefault(pd.oriented, []).append(pd)
+    pairs = {oriented: [_pair(a, xi_int) for a in oriented] for oriented in groups}
     top = max(pd.base for pd in points)
-    low = min(pd.base - sum(pd.pairs) for pd in points)
+    low = min(min(pd.base for pd in members) - sum(pairs[oriented])
+              for oriented, members in groups.items())
     # a finite sum has its support in [low, top] along xi, so the window
     # reaches past it and every term in the margin below must cancel
     depth = max(1, math.ceil(Fraction(top - low, den))) + 2
     floor = top - (depth + _CANCELLATION_MARGIN) * den
     result_floor = top - depth * den
-    bounds, strides = _packing(points, top - floor)
-    parts = [_expand_point(pd, floor, strides) for pd in points]
-    keys = np.concatenate([p[0] for p in parts])
-    pair = np.concatenate([p[1] for p in parts])
-    coef = np.concatenate([p[2] for p in parts])
-    if len(keys) == 0:
-        return VirtualCharacter.zero()
-    keys, pair, coef = _combine(keys, pair, coef)
+    bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
+    parts = []
+    for oriented, members in groups.items():
+        # floor < low, so every point has base > floor and at least one term
+        deepest = max(pd.base for pd in members) - floor
+        vkeys, drop, vcoef = _expand_series(oriented, pairs[oriented], deepest, strides)
+        for pd in members:
+            # the terms of pd with pairing >= floor are a prefix of the shared series
+            m = int(np.searchsorted(drop, pd.base - floor, side="right"))
+            key0 = sum(c * s for c, s in zip(pd.nu, strides))
+            parts.append((key0 - vkeys[:m], pd.base - drop[:m],
+                          vcoef[:m] if pd.sign > 0 else -vcoef[:m]))
+    keys, pair, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
     live = coef != 0
     keys, pair, coef = keys[live], pair[live], coef[live]
     unstable = pair < result_floor
@@ -434,8 +453,8 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
         raise NotAdmissible(f"orbit through ({format_weight(mu)}) is not admissible")
     sigma = face_of(mu, rs)
     levi = set(sigma.levi_positive_roots)
-    moving = [beta for beta in rs.positive_roots if beta not in levi]
-    tangents: dict[Weight, tuple[Weight, ...]] = {}
+    moving = [tuple(int(c) for c in beta) for beta in rs.positive_roots if beta not in levi]
+    tangents: dict[Weight, tuple[tuple[int, ...], ...]] = {}
     for image, (parent, i) in _orbit(rs, mu).items():
         tangents[image] = (tuple(moving) if parent is None
                            else tuple(rs.reflect(i, beta) for beta in tangents[parent]))

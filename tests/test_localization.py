@@ -1,8 +1,10 @@
 """Fixed-point engine, model builders, exact modular oracle, model files."""
 
 import json
+import math
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from spindex import (
@@ -31,10 +33,14 @@ from spindex.errors import (
     UnstableCutoff,
 )
 from spindex.localization import (
+    _CANCELLATION_MARGIN,
+    _combine,
     _direction,
     _direction_candidates,
     _is_generic,
     _localize,
+    _packing,
+    _scale_direction,
     _tangent_set,
 )
 from spindex.weights import weight, wscale
@@ -46,6 +52,40 @@ def test_fixed_point_validation():
     with pytest.raises(ParityViolation):
         FixedPointDatum("p", weight([1, 0]), (weight([2, -1]),))  # odd parity gap
     FixedPointDatum("p", weight([2, 1]), (weight([2, -1]), weight([-2, 2])))
+
+
+def test_fixed_point_data_are_machine_integers():
+    fp = FixedPointDatum("p", weight([2, 1]), (weight([2, -1]), weight([-2, 2])))
+    assert all(type(c) is int for w in (fp.det_weight, *fp.tangent_weights) for c in w)
+    assert fp.det_weight == weight([2, 1]) and hash(fp.det_weight) == hash(weight([2, 1]))
+    assert fp.tangent_weights == (weight([2, -1]), weight([-2, 2]))
+    assert FixedPointDatum("p", ("2", "1"), (("2", "-1"), ("-2", "2"))) == fp
+
+    def violation(det, tangents):
+        with pytest.raises(ParityViolation) as err:
+            FixedPointDatum("p", det, tangents)
+        return str(err.value)
+
+    assert violation(weight([Q(1, 2), 0]), (weight([2, -1]),)) == \
+        "fixed point 'p': determinant weight must be integral"
+    assert violation(weight([1, 0]), (weight([Q(1, 2), 0]),)) == \
+        "fixed point 'p': tangent weight (Fraction(1, 2), Fraction(0, 1)) must be integral"
+    assert violation(weight([1, 0]), (weight([2, -1]),)) == (
+        "fixed point 'p': eta - sum(tangent weights) = (-1,1) is not in 2*Lambda; "
+        "no spin-c structure has this determinant")
+    assert violation(weight([1, 0]), (weight([0, 0]),)) == \
+        "fixed point 'p': zero tangent weight (fixed points must be isolated)"
+
+    # the same bytes as when the data were stored as Fractions
+    model = orbit_model(build_root_system("A2"), weight([Q(3, 2), 0]))
+    assert json.dumps(model_to_json_obj(model), sort_keys=True) == (
+        '{"fixed_points": [{"det_weight": ["3", "0"], "label": "w(3/2,0)", '
+        '"tangent_weights": [["2", "-1"], ["1", "1"]]}, {"det_weight": ["-3", "3"], '
+        '"label": "w(-3/2,3/2)", "tangent_weights": [["-2", "1"], ["-1", "2"]]}, '
+        '{"det_weight": ["0", "-3"], "label": "w(0,-3/2)", "tangent_weights": '
+        '[["-1", "-1"], ["1", "-2"]]}], "generic_stabilizer": [[1], [2]], "group": "A2", '
+        '"info": {"builder": "orbit", "group": "A2", "mu": "3/2,0"}, "kirwan": '
+        '[{"face": [2], "points": [["3/2", "0"]], "segments": []}], "name": "orbit:A2:3/2,0"}')
 
 
 def test_a1_sphere(a1):
@@ -207,6 +247,76 @@ def test_index_is_independent_of_the_direction(a2, a3):
         assert len(others) >= 3, model.name
         for xi in others:
             assert _localize(model, xi) == chi, (model.name, xi)
+
+
+def test_direction_prefers_a_short_window():
+    # the first three candidates for A2 are each orthogonal to one of these;
+    # 1 + 1/97^k is generic too, but its 97^2 denominator makes a long window
+    model = one_point_model("A2", ["1", "1"], [["1", "-1"], ["16", "-15"], ["66", "-65"]])
+    assert _direction(model) == weight([Q(16383, 8191), Q(16391, 8191)])
+
+
+def _per_point_expansion(nu, oriented, pairs, sign, base, floor, strides):
+    """All series terms of one fixed point with pairing >= floor."""
+    keys = np.array([sum(c * s for c, s in zip(nu, strides))], dtype=np.int64)
+    pair = np.array([base], dtype=np.int64)
+    coef = np.array([sign], dtype=np.int64)
+    if base < floor:
+        return keys[:0], pair[:0], coef[:0]
+    for a, n in zip(oriented, pairs):
+        step = sum(c * s for c, s in zip(a, strides))
+        counts = (pair - floor) // n + 1
+        reps = np.repeat(np.arange(len(keys)), counts)
+        karr = np.arange(int(counts.sum())) - np.repeat(counts.cumsum() - counts, counts)
+        keys, pair, coef = _combine(keys[reps] - karr * step, pair[reps] - karr * n, coef[reps])
+    return keys, pair, coef
+
+
+def _per_point_localize(model) -> VirtualCharacter:
+    """Reference engine: every fixed point expands its own series to its own depth."""
+    xi_int, den = _scale_direction(_direction(model))
+    points = []
+    for fp in model.fixed_points:
+        sign, oriented, pairs, nu = 1, [], [], list(fp.det_weight)
+        for a in fp.tangent_weights:
+            p = sum(c * x for c, x in zip(a, xi_int))
+            if p < 0:
+                a, p, sign = tuple(-c for c in a), -p, -sign
+            oriented.append(a)
+            pairs.append(p)
+            nu = [e - c for e, c in zip(nu, a)]
+        nu = tuple(e // 2 for e in nu)
+        points.append((nu, oriented, pairs, sign, sum(n * x for n, x in zip(nu, xi_int))))
+    top = max(p[4] for p in points)
+    low = min(p[4] - sum(p[2]) for p in points)
+    depth = max(1, math.ceil(Q(top - low, den))) + 2
+    floor = top - (depth + _CANCELLATION_MARGIN) * den
+    bounds, strides = _packing([p[0] for p in points], [p[1:3] for p in points], top - floor)
+    parts = [_per_point_expansion(*p, floor, strides) for p in points]
+    keys, pair, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
+    live = coef != 0
+    assert not np.any(pair[live] < top - depth * den)
+    terms = {}
+    for key, c in zip(keys[live].tolist(), coef[live].tolist()):
+        key += sum(b * s for b, s in zip(bounds, strides))
+        coords = []
+        for b in bounds:
+            key, digit = divmod(key, 2 * b + 1)
+            coords.append(digit - b)
+        terms[tuple(coords)] = c
+    return VirtualCharacter(terms)
+
+
+def test_grouped_series_match_the_per_point_expansion():
+    models = [
+        orbit_model(build_root_system("A3"), weight([4, 4, 4])),
+        orbit_model(build_root_system("B2"), weight([3, 2])),
+        orbit_model(build_root_system("G2"), weight([2, 1])),
+        su3_flag_bundle(2, 5),
+        su3_flag_bundle(0, 40),
+    ]
+    for model in models:
+        assert localized_index(model) == _per_point_localize(model), model.name
 
 
 def test_unstable_cutoff_raises():
