@@ -5,7 +5,6 @@ from .characters import (
     VirtualCharacter,
     decompose,
     dimension,
-    evaluate_numeric,
     weyl_character,
     weyl_denominator,
 )
@@ -49,7 +48,6 @@ from .roots import (
     Face,
     RootSystem,
     StabilizerClass,
-    WeylElement,
     all_faces,
     build_root_system,
     dominant_representative,

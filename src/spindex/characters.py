@@ -16,7 +16,6 @@ weight ``lam - rho``.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -28,13 +27,12 @@ from .errors import (
     NotWeylInvariant,
     NonDominantLeadingTerm,
 )
-from .roots import RootSystem, WeylElement, _orbit
+from .roots import RootSystem, _orbit
 from .weights import (
     Weight,
     format_weight,
     is_integral,
     is_strictly_dominant,
-    wdot,
     weight_from_json,
     weight_to_json,
     wsub,
@@ -139,23 +137,11 @@ class VirtualCharacter:
 
     __rmul__ = __mul__
 
-    def apply(self, elem: WeylElement) -> "VirtualCharacter":
-        return VirtualCharacter._of({elem.apply(w): c for w, c in self._terms.items()})
-
     def is_weyl_invariant(self, rs: RootSystem) -> bool:
         """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w)."""
         terms = self._terms
         return all(terms.get(rs.reflect(i, w)) == c
                    for w, c in terms.items() for i in range(rs.rank) if w[i])
-
-    def evaluate(self, theta: Iterable[float]) -> complex:
-        """Numeric value sum c_mu exp(i <mu, theta>) in double precision."""
-        theta = list(theta)
-        total = 0j
-        for w, c in self._terms.items():
-            ang = sum(float(x) * t for x, t in zip(w, theta))
-            total += c * cmath.exp(1j * ang)
-        return total
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -318,11 +304,6 @@ def dimension(lam: Weight, rs: RootSystem) -> int:
     if num.denominator != 1 or num <= 0:
         raise MethodMismatch(f"the dimension formula gives {num} at ({format_weight(lam)})")
     return int(num)
-
-
-def evaluate_numeric(chi: VirtualCharacter, theta: Iterable[float]) -> complex:
-    """Module-level alias for the character's numeric evaluation."""
-    return chi.evaluate(theta)
 
 
 def _heap_entry(w: tuple[int, ...], rs: RootSystem) -> tuple:

@@ -50,12 +50,13 @@ def _arg_type(parse, expected: str):
     return convert
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        if int(text) < low:
+def _at_least(parse, low: int):
+    def check(text: str):
+        value = parse(text)
+        if value < low:
             raise ValueError(text)
-        return int(text)
-    return parse
+        return value
+    return check
 
 
 def _build_parser() -> _Parser:
@@ -72,8 +73,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--group", help="group type label or Cartan matrix as JSON")
         sp.add_argument("--mu", type=_arg_type(parse_weight, "comma-separated rationals"),
                         help="dominant weight, comma-separated rationals")
-        sp.add_argument("--a", type=_arg_type(_int_at_least(0), "a nonnegative integer"))
-        sp.add_argument("--b", type=_arg_type(_int_at_least(0), "a nonnegative integer"))
+        sp.add_argument("--a", type=_arg_type(_at_least(int, 0), "a nonnegative integer"))
+        sp.add_argument("--b", type=_arg_type(_at_least(int, 0), "a nonnegative integer"))
         sp.add_argument("--convention", default=CALIBRATED_CONVENTION,
                         choices=["calibrated", "literal"])
 
@@ -85,7 +86,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--face", required=True,
                     help="w<k> for the omega_k ray, 'open', 'origin', or s:<i,j,...>")
-    sp.add_argument("--max", required=True, type=_arg_type(Fraction, "a rational number"),
+    sp.add_argument("--max", required=True,
+                    type=_arg_type(_at_least(Fraction, 0), "a nonnegative rational number"),
                     help="upper bound for each free coordinate")
     add_common(sp)
 
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
     add_model_source(sp)
     sp.add_argument("--cross-check", action="store_true",
                     help="check exactly, mod a prime, against the fixed-point sum")
-    sp.add_argument("--trials", type=_arg_type(_int_at_least(1), "a positive integer"), default=20)
+    sp.add_argument("--trials", type=_arg_type(_at_least(int, 1), "a positive integer"), default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--moment-report", action="store_true",
                     help="also print fixed-point moments vs the declared Kirwan set")

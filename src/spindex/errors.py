@@ -31,6 +31,10 @@ class EmptyFaceRegion(SpindexError):
     """An enumeration region for a face is empty or missing bounds."""
 
 
+class OrbitRegionTooLarge(SpindexError):
+    """A bounded face region holds more than 2^16 admissible orbits to list."""
+
+
 class NotRegularDominant(SpindexError):
     """A weight required to be strictly dominant lies on a wall."""
 

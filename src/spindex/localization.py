@@ -57,6 +57,7 @@ from .roots import (
     StabilizerClass,
     _orbit,
     build_root_system,
+    dominant_representative,
     face_from_vanishing_set,
     face_of,
     stabilizer_class_of_face,
@@ -444,6 +445,8 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     Fixed points sit at the Weyl images of mu (one per coset of the face
     stabilizer); the determinant weight at the image w(mu) is 2 w(mu) and the
     tangent weights are the w-images of the positive roots outside the Levi.
+    An admissible mu lies in Lambda / 2, so the walk runs over the orbit of
+    2 mu on machine integers and each image is its own determinant weight.
     """
     mu = weight(mu)
     if len(mu) != rs.rank:
@@ -454,15 +457,15 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     sigma = face_of(mu, rs)
     levi = set(sigma.levi_positive_roots)
     moving = [tuple(int(c) for c in beta) for beta in rs.positive_roots if beta not in levi]
-    tangents: dict[Weight, tuple[tuple[int, ...], ...]] = {}
-    for image, (parent, i) in _orbit(rs, mu).items():
+    tangents: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    for image, (parent, i) in _orbit(rs, tuple(int(2 * c) for c in mu)).items():
         tangents[image] = (tuple(moving) if parent is None
                            else tuple(rs.reflect(i, beta) for beta in tangents[parent]))
     return ManifoldModel(
         root_system=rs,
         fixed_points=tuple(
-            FixedPointDatum(label=f"w({format_weight(image)})", det_weight=wscale(2, image),
-                            tangent_weights=ts)
+            FixedPointDatum(label=f"w({format_weight(Fraction(c, 2) for c in image)})",
+                            det_weight=image, tangent_weights=ts)
             for image, ts in tangents.items()),
         generic_stabilizer=stabilizer_class_of_face(sigma, rs),
         kirwan=KirwanSet((KirwanPiece(face=sigma, points=(mu,)),)),
@@ -681,13 +684,11 @@ def moment_report(model: ManifoldModel) -> list[dict]:
     Purely informational: declared Kirwan data is connection-dependent
     metadata, so mismatches are surfaced, never fatal.
     """
-    from .roots import dominant_representative
-
     rs = model.root_system
     rows = []
     for fp in model.fixed_points:
         moment = wscale(Fraction(1, 2), fp.det_weight)
-        dom, _ = dominant_representative(moment, rs)
+        dom = dominant_representative(moment, rs)
         rows.append({
             "label": fp.label,
             "moment": moment,

@@ -10,11 +10,12 @@ show both that character and the highest weight obtained by subtracting rho.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyFaceRegion, NotAdmissible, NotDominant
-from .roots import Face, RootSystem, face_of, is_regular
+from .errors import EmptyFaceRegion, NotAdmissible, NotDominant, OrbitRegionTooLarge
+from .roots import _ORBIT_BOUND, Face, RootSystem, face_of, is_regular
 from .weights import (
     Weight,
     format_weight,
@@ -100,20 +101,14 @@ def _free_indices(face: Face, rank: int) -> list[int]:
     return [i for i in range(rank) if (i + 1) not in face.vanishing_set]
 
 
-def _admissible_values(base_residue: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Values c > 0 in [lo, hi] with c congruent to base_residue mod 1."""
+def _admissible_run(base_residue: Fraction, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """The least c > 0 in [lo, hi] congruent to base_residue mod 1, and how many
+    values c, c + 1, ... stay at most hi."""
     start = max(lo, Fraction(0))
-    # smallest value >= start, strictly positive, in the residue class
-    offset = (base_residue - start) % 1
-    c = start + offset
+    c = start + (base_residue - start) % 1
     if c == 0:
         c += 1
-    out = []
-    while c <= hi:
-        if c > 0:
-            out.append(c)
-        c += 1
-    return out
+    return c, max(0, math.floor(hi - c) + 1)
 
 
 def admissible_orbits_on_face(
@@ -127,7 +122,9 @@ def admissible_orbits_on_face(
     coordinate, or a mapping from 1-based free coordinate index to such an
     interval.  The region is always intersected with the open face, so a lower
     bound of 0 means "arbitrarily small positive".  The vertex face needs no
-    bounds.  Results are sorted by their free-parameter tuple.
+    bounds.  Results are sorted by their free-parameter tuple.  A region of
+    more than 2^16 admissible orbits raises OrbitRegionTooLarge before any is
+    built.
     """
     rank = rs.rank
     free = _free_indices(face, rank)
@@ -153,15 +150,14 @@ def admissible_orbits_on_face(
     shift = wsub(rs.rho, face.rho_sigma)
     if any(shift[i - 1].denominator != 1 for i in face.vanishing_set):
         return []
-    choices = []
-    for i in free:
-        lo, hi = per_coord[i]
-        vals = _admissible_values(shift[i] % 1, lo, hi)
-        if not vals:
-            return []
-        choices.append(vals)
+    runs = [_admissible_run(shift[i] % 1, *per_coord[i]) for i in free]
+    total = math.prod(n for _, n in runs)
+    if total > _ORBIT_BOUND:
+        raise OrbitRegionTooLarge(f"face {face.label()} has {total} admissible orbits in "
+                                  f"the region, more than {_ORBIT_BOUND}")
     orbits = []
-    for combo in sorted(itertools.product(*choices)):
+    # the product of ascending value lists is already in lexicographic order
+    for combo in itertools.product(*([c + k for k in range(n)] for c, n in runs)):
         mu = [Fraction(0)] * rank
         for i, c in zip(free, combo):
             mu[i] = c

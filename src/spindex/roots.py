@@ -7,12 +7,16 @@ the Cartan matrix holds the fundamental-weight coordinates of alpha_j.  A
 weight is dominant iff its coordinates are nonnegative, and the pairing with
 the i-th simple coroot is coordinate i.
 
-The Weyl group is never listed: ``_orbit`` walks one Weyl orbit breadth-first
-over the simple reflections.  Roots and coroots come from the orbits of the
-simple roots, alternating sums from the free orbit of a regular weight, orbit
-models from the orbit of their base point, and each Levi-conjugacy class from
-one orbit.  A walk raises ``WeylGroupTooLarge`` past a fixed bound of 2^16
-points: |W(E6)| = 51,840 fits, the Levi orbits of E7 do not.
+The Weyl group acts only by simple reflections on coordinates
+(``RootSystem.reflect``); no group element is ever formed, as a matrix or
+otherwise, and the group is never listed.  ``_orbit`` walks one Weyl orbit
+breadth-first over the simple reflections.  Roots and coroots come from the
+orbits of the simple roots, alternating sums from the free orbit of a regular
+weight, orbit models from the orbit of their base point, and each
+Levi-conjugacy class from one orbit; dominant representatives descend by
+reflecting negative coordinates away.  A walk raises ``WeylGroupTooLarge``
+past a fixed bound of 2^16 points: |W(E6)| = 51,840 fits, the Levi orbits
+of E7 do not.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 
 from .errors import NotDominant, UnknownType, WeylGroupTooLarge
 from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
@@ -28,41 +32,6 @@ from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
 IntMatrix = tuple[tuple[int, ...], ...]
 
 _ORBIT_BOUND = 2 ** 16
-
-
-def _mat_apply(m: IntMatrix, w: Weight) -> Weight:
-    # preserves the coordinate type: integer tuples stay integer tuples
-    return tuple(sum(row[k] * w[k] for k in range(len(w))) for row in m)
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """Integer matrix acting on fundamental-weight coordinates, with parity sign."""
-
-    matrix: IntMatrix
-    sign: int
-
-    def apply(self, w: Weight) -> Weight:
-        return _mat_apply(self.matrix, w)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other: (self * other)(w) = self(other(w))."""
-        return WeylElement(_mat_mul(self.matrix, other.matrix), self.sign * other.sign)
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(len(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -241,8 +210,7 @@ class RootSystem:
     Fields follow the build contract: ``rank``, ``cartan_matrix``,
     ``simple_roots`` (omega-coordinates), ``positive_roots`` and ``rho``.
     Building walks only the orbits of the simple roots, so every finite type
-    builds; the list of all group elements is made on first use only, and no
-    computation in the package reads it.  Instances are immutable after
+    builds.  W acts only through ``reflect``.  Instances are immutable after
     construction (apart from their caches) and safe to share.
     """
 
@@ -278,12 +246,6 @@ class RootSystem:
         self.char_cache: dict = {}  # used by the character module
 
     # -- construction helpers -------------------------------------------------
-
-    def _simple_reflection(self, i: int) -> WeylElement:
-        m = [[1 if r == c else 0 for c in range(self.rank)] for r in range(self.rank)]
-        for r in range(self.rank):
-            m[r][i] -= self.cartan_matrix[r][i]
-        return WeylElement(tuple(tuple(row) for row in m), -1)
 
     def _root_data(self) -> dict[Weight, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Simple-root coordinates of each positive root beta, and simple-coroot
@@ -324,33 +286,14 @@ class RootSystem:
         fun = self._coroot_funs[beta]
         return sum((Fraction(fun[i]) * lam[i] for i in range(self.rank)), Fraction(0))
 
-    def root_reflection(self, beta: Weight) -> WeylElement:
-        """s_beta(x) = x - <x, beta^vee> beta."""
-        fun = self._coroot_funs[beta]
-        n = self.rank
-        return WeylElement(tuple(tuple(int(r == c) - int(beta[r]) * fun[c] for c in range(n))
-                                 for r in range(n)), -1)
-
     def weyl_order(self) -> int:
         """|W|, the size of the free orbit of rho."""
         return len(_orbit(self, (1,) * self.rank))
-
-    @cached_property
-    def weyl_elements(self) -> tuple[WeylElement, ...]:
-        """Every Weyl group element, identity first; one walk of the rho orbit on first use."""
-        orbit = _orbit(self, (1,) * self.rank)
-        return tuple(_witness(orbit, x, self) for x in orbit)
-
-    def simple_reflections(self) -> tuple[WeylElement, ...]:
-        return tuple(self._simple_reflection(i) for i in range(self.rank))
 
     def height_key(self, w: Weight):
         """Order key making the dominant member of each Weyl orbit maximal; lex tie-break."""
         ht = sum(h * c for h, c in zip(self._height_fun, w))
         return (ht, w)
-
-    def identity(self) -> WeylElement:
-        return WeylElement(_identity(self.rank), 1)
 
 
 def _orbit(rs: RootSystem, x: Weight) -> dict[Weight, tuple[Weight | None, int]]:
@@ -380,15 +323,6 @@ def _orbit(rs: RootSystem, x: Weight) -> dict[Weight, tuple[Weight | None, int]]
     return reached
 
 
-def _witness(orbit: dict, x: Weight, rs: RootSystem) -> WeylElement:
-    """The w carrying the start of the walk to x, read off the parent links."""
-    w = rs.identity()
-    while orbit[x][0] is not None:
-        x, i = orbit[x]
-        w = w.compose(rs._simple_reflection(i))
-    return w
-
-
 def build_root_system(type_or_cartan) -> RootSystem:
     """Build a root system from a type label ("A2", "B2", "A1xA1") or Cartan matrix."""
     if isinstance(type_or_cartan, str):
@@ -398,17 +332,12 @@ def build_root_system(type_or_cartan) -> RootSystem:
     return RootSystem(cartan)
 
 
-def dominant_representative(w: Weight, rs: RootSystem) -> tuple[Weight, WeylElement]:
-    """Dominant member of the Weyl orbit of ``w`` plus a witness mapping w to it."""
-    cur = tuple(Fraction(c) for c in w)
-    acc = rs.identity()
-    while True:
-        i = next((k for k, c in enumerate(cur) if c < 0), None)
-        if i is None:
-            return cur, acc
-        refl = rs._simple_reflection(i)
-        cur = refl.apply(cur)
-        acc = refl.compose(acc)
+def dominant_representative(w: Weight, rs: RootSystem) -> Weight:
+    """Dominant member of the Weyl orbit of ``w``, reached by simple reflections."""
+    cur = weight(w)
+    while (i := next((k for k, c in enumerate(cur) if c < 0), None)) is not None:
+        cur = rs.reflect(i, cur)
+    return cur
 
 
 def face_of(w: Weight, rs: RootSystem) -> Face:
@@ -456,17 +385,14 @@ def _zero_set(x: Weight) -> frozenset[int]:
     return frozenset(i + 1 for i, c in enumerate(x) if c == 0)
 
 
-def levi_conjugate(f1: Face, f2: Face, rs: RootSystem) -> WeylElement | None:
-    """Witness w with w(Phi_f1) = Phi_f2 for two chamber faces, or None if none exists.
+def levi_conjugate(f1: Face, f2: Face, rs: RootSystem) -> bool:
+    """Whether some w in W carries Phi_f1 onto Phi_f2, for two chamber faces.
 
     w(mu_f1) has stabilizer roots w(Phi_f1), which contain Phi_f2 exactly when
     w(mu_f1) vanishes at f2; equal sizes make them equal.
     """
-    if len(f1.levi_positive_roots) != len(f2.levi_positive_roots):
-        return None
-    orbit = _orbit(rs, _face_point(f1, rs))
-    x = next((x for x in orbit if _zero_set(x) == f2.vanishing_set), None)
-    return None if x is None else _witness(orbit, x, rs)
+    return len(f1.levi_positive_roots) == len(f2.levi_positive_roots) and any(
+        _zero_set(x) == f2.vanishing_set for x in _orbit(rs, _face_point(f1, rs)))
 
 
 def stabilizer_class_of_face(f: Face, rs: RootSystem) -> StabilizerClass:

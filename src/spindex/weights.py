@@ -50,11 +50,6 @@ def wscale(c: Fraction | int, a: Weight) -> Weight:
     return tuple(c * x for x in a)
 
 
-def wdot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
-    """Plain coordinate pairing (used for expansion directions, not a W-invariant form)."""
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def is_integral(w: Weight) -> bool:
     """True when the weight lies in the weight lattice (all integer coordinates)."""
     return all(c.denominator == 1 for c in w)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,6 +189,7 @@ def test_explicit_cartan_matrix_group(capsys):
     ("index", "--model", "su3-flag-bundle", "--a", "-1", "--b", "3"),
     ("index", "--model", "su3-flag-bundle", "--a", "1", "--b", "-1"),
     ("orbits", "--group", "A2", "--face", "s:7", "--max", "3"),
+    ("orbits", "--group", "A2", "--face", "w1", "--max", "-1"),
     ("index", "--model", "{info_list}"),
     ("index", "--model", "{info_text}"),
     ("verify-qr", "--model", "{info_list}"),
@@ -228,6 +230,19 @@ def test_exceptional_groups(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbits", "--group", "A5", "--face", "open", "--max", "60"),  # 60^5 orbits
+    ("orbits", "--group", "A1", "--face", "open", "--max", "100000000"),
+])
+def test_an_orbit_region_past_the_bound_exits_2(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # flag -> (well-formed values, junk values); None for a switch

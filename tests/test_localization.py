@@ -45,6 +45,8 @@ from spindex.localization import (
 )
 from spindex.weights import weight, wscale
 
+from weyl_oracle import weyl_group
+
 
 def test_fixed_point_validation():
     with pytest.raises(ParityViolation):
@@ -128,9 +130,9 @@ def test_orbit_model_data_is_weyl_equivariant(a2):
     model = orbit_model(a2, weight([Q(3, 2), 0]))
     data = {(fp.det_weight, frozenset_multiset(fp.tangent_weights))
             for fp in model.fixed_points}
-    for w in a2.weyl_elements:
+    for w in weyl_group(a2):
         mapped = {
-            (w.apply(d), frozenset_multiset(tuple(w.apply(t) for t in ts_expand(ts))))
+            (w(d), frozenset_multiset(tuple(w(t) for t in ts_expand(ts))))
             for d, ts in data
         }
         assert mapped == data
@@ -145,9 +147,8 @@ def test_orbit_models_match_the_full_weyl_group(label):
         for orbit in admissible_orbits_on_face(face, (Q(0), Q(4)), rs):
             moving = [b for b in rs.positive_roots if b not in face.levi_positive_roots]
             expected = {}
-            for w in rs.weyl_elements:
-                expected.setdefault(w.apply(orbit.mu),
-                                    frozenset(w.apply(b) for b in moving))
+            for w in weyl_group(rs):
+                expected.setdefault(w(orbit.mu), frozenset(w(b) for b in moving))
             model = orbit_model(rs, orbit.mu)
             got = {wscale(Q(1, 2), fp.det_weight): frozenset(fp.tangent_weights)
                    for fp in model.fixed_points}

@@ -11,7 +11,7 @@ from spindex import (
     is_admissible,
     orbit_spin_index,
 )
-from spindex.errors import EmptyFaceRegion, NotAdmissible, NotDominant
+from spindex.errors import EmptyFaceRegion, NotAdmissible, NotDominant, OrbitRegionTooLarge
 from spindex.orbits import OrbitIndex
 from spindex.roots import face_from_vanishing_set
 from spindex.weights import weight
@@ -90,6 +90,16 @@ def test_region_errors(a2):
         admissible_orbits_on_face(open_face, (Q(3), Q(1)), a2)
     with pytest.raises(EmptyFaceRegion):
         admissible_orbits_on_face(open_face, {1: (Q(0), Q(2))}, a2)
+
+
+def test_region_size_is_bounded(a2):
+    # counted before any orbit is built: 257 * 256 = 65,792 > 2^16
+    open_face = face_from_vanishing_set(frozenset(), a2)
+    with pytest.raises(OrbitRegionTooLarge, match="65792"):
+        admissible_orbits_on_face(open_face, {1: (Q(0), Q(257)), 2: (Q(0), Q(256))}, a2)
+    ray = face_from_vanishing_set(frozenset({2}), a2)  # 1/2, 3/2, ..., 2^16 + 1/2
+    with pytest.raises(OrbitRegionTooLarge, match="65537"):
+        admissible_orbits_on_face(ray, (Q(0), Q(2) ** 16 + 1), a2)
 
 
 def test_regular_lattice_points_are_admissible_with_own_index(a2, a3):

@@ -29,11 +29,18 @@ from spindex import (
 )
 from spindex.errors import (
     KirwanHullTooLarge,
+    OrbitRegionTooLarge,
     ProviderInvalid,
     ProviderMissingOrbit,
     SpindexError,
 )
-from spindex.localization import KirwanPiece, KirwanSet, kirwan_contains, kirwan_faces_met
+from spindex.localization import (
+    KirwanPiece,
+    KirwanSet,
+    kirwan_admissible_orbits,
+    kirwan_contains,
+    kirwan_faces_met,
+)
 from spindex.roots import Face, StabilizerClass, face_from_vanishing_set
 from spindex.weights import weight
 
@@ -284,6 +291,16 @@ def test_kirwan_hull_subsets_are_bounded(a3):
     start = time.monotonic()
     with pytest.raises(KirwanHullTooLarge, match="102090 hull subsets"):
         kirwan_contains(kirwan, points[0], a3)
+    assert time.monotonic() - start < 1
+
+
+def test_kirwan_point_piece_boxes_are_bounded(a2):
+    # the bounding box of two points holds 400 * 400 admissible orbits > 2^16
+    open_face = face_from_vanishing_set(frozenset(), a2)
+    kirwan = KirwanSet((KirwanPiece(face=open_face, points=(weight([1, 1]), weight([400, 400]))),))
+    start = time.monotonic()
+    with pytest.raises(OrbitRegionTooLarge, match="160000"):
+        kirwan_admissible_orbits(kirwan, open_face, a2)
     assert time.monotonic() - start < 1
 
 
