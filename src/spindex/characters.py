@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add, gt
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -138,10 +139,21 @@ class VirtualCharacter:
     __rmul__ = __mul__
 
     def is_weyl_invariant(self, rs: RootSystem) -> bool:
-        """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w)."""
+        """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w).
+
+        s_i swaps the weights with w_i > 0 and those with w_i < 0, so it is
+        enough that both sides hold as many terms and that c(s_i w) = c(w) on
+        the first.
+        """
         terms = self._terms
-        return all(terms.get(rs.reflect(i, w)) == c
-                   for w, c in terms.items() for i in range(rs.rank) if w[i])
+        for i in range(rs.rank):
+            up = [(w, c) for w, c in terms.items() if w[i] > 0]
+            if len(up) != sum(1 for w in terms if w[i] < 0):
+                return False
+            for w, c in up:
+                if terms.get(rs.reflect(i, w)) != c:
+                    return False
+        return True
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -368,11 +380,11 @@ def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
     """
     denominator = weyl_denominator(rs)._terms
     floor = [-max(d[i] for d in denominator) for i in range(rs.rank)]
-    near = [(v, c) for v, c in chi._terms.items() if all(x > f for x, f in zip(v, floor))]
+    near = [(v, c) for v, c in chi._terms.items() if all(map(gt, v, floor))]
     acc: dict[Weight, int] = {}
     for d, s in denominator.items():
         for v, c in near:
-            x = tuple(a + b for a, b in zip(v, d))
+            x = tuple(map(add, v, d))
             if min(x) > 0:
                 acc[x] = acc.get(x, 0) + s * c
     return {x: m for x, m in acc.items() if m}

@@ -19,7 +19,9 @@ UnstableCutoff when it fails.
 Fixed points that share a multiset of oriented tangent weights (in an orbit
 model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
 expanded once, to the depth of the deepest of them, and each point takes the
-part within its own depth, shifted to its base point and signed.
+part within its own depth, shifted to its base point and signed.  The series
+is built one factor at a time, each factor a running sum along the strings
+of its weight, so every step costs what it outputs.
 
 The per-fixed-point parity condition eta_p - sum_j alpha_pj in 2*Lambda is
 checked at construction: it is exactly what makes every exponent above land in
@@ -36,7 +38,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -74,7 +75,6 @@ from .weights import (
     wneg,
     wscale,
     wsub,
-    zero_weight,
 )
 
 _PRIME = 2 ** 61 - 1  # the field of exact_cross_check
@@ -107,24 +107,22 @@ class FixedPointDatum:
         if det is None:
             raise ParityViolation(
                 f"fixed point {self.label!r}: determinant weight must be integral")
-        tangents = []
-        for a in self.tangent_weights:
-            t = _lattice_point(a)
+        tangents = tuple(map(_lattice_point, self.tangent_weights))
+        for a, t in zip(self.tangent_weights, tangents):
             if t is None:
                 raise ParityViolation(
                     f"fixed point {self.label!r}: tangent weight {weight(a)} must be integral")
             if not any(t):
                 raise ParityViolation(
                     f"fixed point {self.label!r}: zero tangent weight (fixed points must be isolated)")
-            tangents.append(t)
-        gap = reduce(wsub, tangents, det)
+        gap = _less_sum(det, tangents)
         if any(c % 2 for c in gap):
             raise ParityViolation(
                 f"fixed point {self.label!r}: eta - sum(tangent weights) = "
                 f"({format_weight(gap)}) is not in 2*Lambda; no spin-c structure "
                 f"has this determinant")
         object.__setattr__(self, "det_weight", det)
-        object.__setattr__(self, "tangent_weights", tuple(tangents))
+        object.__setattr__(self, "tangent_weights", tangents)
 
 
 def _lattice_point(coords) -> tuple[int, ...] | None:
@@ -136,11 +134,9 @@ def _lattice_point(coords) -> tuple[int, ...] | None:
     return tuple(c.numerator for c in w) if is_integral(w) else None
 
 
-def _sum_weights(ws, rank: int) -> Weight:
-    total = zero_weight(rank)
-    for w in ws:
-        total = wadd(total, w)
-    return total
+def _less_sum(w: tuple[int, ...], ws) -> tuple[int, ...]:
+    """w - sum(ws), in one pass over the coordinates; all lengths must agree."""
+    return tuple(c - sum(cs) for c, *cs in zip(w, *ws, strict=True))
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ class _PointData:
             oriented.append(a)
         # eta - sum(oriented) differs from eta - sum(tangents), which
         # FixedPointDatum checked is in 2*Lambda, by twice the flipped weights
-        self.nu = tuple(c // 2 for c in reduce(wsub, oriented, fp.det_weight))
+        self.nu = tuple(c // 2 for c in _less_sum(fp.det_weight, oriented))
         self.oriented = tuple(sorted(oriented))
         self.sign = sign
         self.base = _pair(self.nu, xi_int)
@@ -309,23 +305,41 @@ def _packing(nus, series, slab: int) -> tuple[list[int], list[int]]:
 def _expand_series(oriented, pairs, depth: int, strides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms t^{-v} of prod_a 1/(1 - t^{-a}) with <v, xi> <= depth, in order of <v, xi>.
 
-    Returns the packed keys of v, the pairings <v, xi> and the coefficients.
+    Each factor 1/(1 - t^{-a}) is the running sum Q(v) = sum_{j>=0} P(v - j a)
+    along the a-strings, as in ``characters.divide_by_binomial``: a term at
+    pairing d lies j = (depth - d) // n steps below the top of its string
+    within the depth, and each string is laid out densely from its deepest
+    term up to that top and summed, so a step costs what it outputs.  Returns
+    the packed keys of v, the pairings <v, xi> and the coefficients.
     """
     keys = np.zeros(1, dtype=np.int64)
     drop = np.zeros(1, dtype=np.int64)
     coef = np.ones(1, dtype=np.int64)
     for a, n in zip(oriented, pairs):
         step = sum(c * s for c, s in zip(a, strides))
-        counts = (depth - drop) // n + 1
-        total = int(counts.sum())
-        reps = np.repeat(np.arange(len(keys)), counts)
-        karr = np.arange(total, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
-        keys = keys[reps] + karr * step
-        drop = drop[reps] + karr * n
-        coef = coef[reps]
-        keys, drop, coef = _combine(keys, drop, coef)
-        # series lengths are < 2^13 at desk scale, so sums of values below
-        # 2^48 cannot wrap int64 in the next combine
+        j = (depth - drop) // n
+        # the top of a string is a term of the truncated product, so it lies
+        # in the window and its key names the string
+        top = keys + j * step
+        order = np.argsort(top)
+        top, j, peak, coef = top[order], j[order], (drop + j * n)[order], coef[order]
+        fresh = np.empty(len(top), dtype=bool)
+        fresh[0] = True
+        fresh[1:] = top[1:] != top[:-1]
+        starts = np.flatnonzero(fresh)
+        length = np.maximum.reduceat(j, starts) + 1
+        end = length.cumsum() - 1
+        run = np.zeros(int(end[-1]) + 1, dtype=np.int64)
+        run[end[fresh.cumsum() - 1] - j] = coef
+        # the first entry of each string also cancels the total of the one
+        # before, so the running sum restarts on every string; series lengths
+        # are < 2^13 at desk scale, so no string's sum of values below 2^48
+        # wraps int64
+        run[end[:-1] + 1] -= np.add.reduceat(coef, starts)[:-1]
+        coef = run.cumsum()
+        j = np.repeat(end, length) - np.arange(len(run))
+        keys = np.repeat(top[starts], length) - j * step
+        drop = np.repeat(peak[starts], length) - j * n
         if int(coef.max()) >= 2 ** 48:
             raise SpindexError("coefficient growth exceeded the exact int64 budget")
     order = np.argsort(drop, kind="stable")
@@ -512,21 +526,22 @@ def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> 
     if convention not in (CALIBRATED_CONVENTION, LITERAL_CONVENTION):
         raise SpindexError(f"unknown determinant convention {convention!r}")
     rs = _a2()
-    x = {1: weight([1, 0]), 2: weight([-1, 1]), 3: weight([0, -1])}
+    x = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
     fixed = []
     for i, j in ((1, 2), (1, 3), (2, 3)):
         k = ({1, 2, 3} - {i, j}).pop()
         plane = wadd(x[i], x[j])
         for line_label, line_weight, last_tangent in (
             (f"e{k}", x[k], wneg(x[k])),
-            ("e4", zero_weight(2), x[k]),
+            ("e4", (0, 0), x[k]),
         ):
             tangents = (wsub(x[k], x[i]), wsub(x[k], x[j]), last_tangent)
             if convention == CALIBRATED_CONVENTION:
-                det = wadd(wadd(wscale(2 * (a - b + 2), plane), wscale(-2 * b, line_weight)),
-                           _sum_weights(tangents, 2))
+                det = tuple(2 * (a - b + 2) * p - 2 * b * q + sum(ts)
+                            for p, q, *ts in zip(plane, line_weight, *tangents))
             else:
-                det = wadd(wscale(2 * a + 1, plane), wscale(2 * b + 1, line_weight))
+                det = tuple((2 * a + 1) * p + (2 * b + 1) * q
+                            for p, q in zip(plane, line_weight))
             fixed.append(FixedPointDatum(
                 label=f"plane=e{i}e{j},line={line_label}",
                 det_weight=det,

@@ -88,7 +88,9 @@ def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     if not is_admissible(orbit.mu, rs):
         raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
     shifted = wadd(orbit.mu, orbit.face.rho_sigma)
-    if not is_regular(shifted, rs):
+    # a dominant weight is regular exactly when every simple coordinate is > 0
+    low = min(shifted)
+    if not (low > 0 if low >= 0 else is_regular(shifted, rs)):
         return OrbitIndex.zero()
     # a regular shift of an admissible point is dominant and integral
     if not (is_dominant(shifted) and is_integral(shifted)):

@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 from .errors import NotDominant, UnknownType, WeylGroupTooLarge
 from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
@@ -292,7 +293,7 @@ class RootSystem:
 
     def height_key(self, w: Weight):
         """Order key making the dominant member of each Weyl orbit maximal; lex tie-break."""
-        ht = sum(h * c for h, c in zip(self._height_fun, w))
+        ht = sum(map(mul, self._height_fun, w))
         return (ht, w)
 
 

@@ -145,6 +145,25 @@ def test_decompose_requires_weyl_invariance(a2):
         decompose(chi, a2)
 
 
+def test_an_unpartnered_weight_below_a_wall_breaks_invariance(a2):
+    # s_1 sends (-2,0) to (2,-2) and (-1,0) to (1,-1), which are missing; s_2
+    # fixes both, and no term with w_1 > 0 lacks its partner, so only the
+    # count of terms on the two sides of the wall catches them
+    chi = weyl_character(weight([2, 2]), a2) + VirtualCharacter.monomial(weight([-2, 0]))
+    s1, s2 = simple_reflections(a2)
+    assert act(s1, chi) != chi and act(s2, chi) == chi
+    assert not chi.is_weyl_invariant(a2)
+    with pytest.raises(NotWeylInvariant):
+        decompose(chi, a2)
+    lone = VirtualCharacter({weight([-1, 0]): 3, weight([0, 0]): 1})
+    assert not lone.is_weyl_invariant(a2)
+    with pytest.raises(NotWeylInvariant):
+        decompose(lone, a2)
+    # a partner with another coefficient is caught from the side w_1 > 0
+    skew = chi + VirtualCharacter.monomial(weight([2, -2]), 2)
+    assert not skew.is_weyl_invariant(a2)
+
+
 def test_peel_rejects_non_dominant_leading_weight(a2):
     # the guard behind the invariance check: a lone anti-dominant monomial has
     # no dominant leading weight to peel at

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -37,9 +38,11 @@ from spindex.localization import (
     _combine,
     _direction,
     _direction_candidates,
+    _expand_series,
     _is_generic,
     _localize,
     _packing,
+    _pair,
     _scale_direction,
     _tangent_set,
 )
@@ -315,9 +318,78 @@ def test_grouped_series_match_the_per_point_expansion():
         orbit_model(build_root_system("G2"), weight([2, 1])),
         su3_flag_bundle(2, 5),
         su3_flag_bundle(0, 40),
+        su3_flag_bundle(40, 40),
+        su3_flag_bundle(40, 0),
     ]
     for model in models:
         assert localized_index(model) == _per_point_localize(model), model.name
+
+
+def _product_series(oriented, pairs, depth, strides):
+    """Reference expansion: every shifted copy of the series so far, merged by a sort."""
+    keys = np.zeros(1, dtype=np.int64)
+    drop = np.zeros(1, dtype=np.int64)
+    coef = np.ones(1, dtype=np.int64)
+    for a, n in zip(oriented, pairs):
+        step = sum(c * s for c, s in zip(a, strides))
+        counts = (depth - drop) // n + 1
+        reps = np.repeat(np.arange(len(keys)), counts)
+        karr = np.arange(int(counts.sum())) - np.repeat(counts.cumsum() - counts, counts)
+        keys, drop, coef = _combine(keys[reps] + karr * step, drop[reps] + karr * n, coef[reps])
+    return keys, drop, coef
+
+
+def _oriented_cases():
+    """(oriented weights, xi) pairs: seeded random sets in ranks 1-3, then G2's roots."""
+    rng = random.Random(12)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        xi = tuple(rng.randint(1, 6) for _ in range(rank))
+        oriented, size = [], rng.randint(1, 6)
+        while len(oriented) < size:
+            a = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if _pair(a, xi):
+                a = a if _pair(a, xi) > 0 else tuple(-c for c in a)
+                # repeated weights, as where a point has a root twice
+                oriented += [a] * rng.choice((1, 1, 2, 3))
+        yield tuple(sorted(oriented)), xi
+    g2 = build_root_system("G2")
+    roots = tuple(tuple(int(c) for c in beta) for beta in g2.positive_roots)
+    xi, _ = _scale_direction(_direction_candidates(g2)[0])
+    yield roots, xi
+    yield tuple(sorted(roots * 2)), xi
+    long_roots = ((-3, 2), (0, 1), (3, -1))  # alpha_2, 3 alpha_1 + 2 alpha_2, 3 alpha_1 + alpha_2
+    assert set(long_roots) < set(roots)
+    yield long_roots, xi
+    yield tuple(sorted(long_roots * 3)), xi
+
+
+def test_running_sums_match_the_product_series():
+    seen_short = False
+    for oriented, xi in _oriented_cases():
+        pairs = [_pair(a, xi) for a in oriented]
+        # depth 0, depths below the smallest pairing (one-term strings) and deeper ones
+        for depth in (0, min(pairs) - 1, max(pairs), 3 * max(pairs) + 1, 40):
+            if depth < 0:
+                continue
+            seen_short |= depth < max(pairs)
+            _, strides = _packing([(0,) * len(xi)], [(oriented, pairs)], depth)
+            got = _expand_series(oriented, pairs, depth, strides)
+            want = _product_series(oriented, pairs, depth, strides)
+            assert np.all(np.diff(got[1]) >= 0), (oriented, depth)  # in order of pairing
+            got_order, want_order = np.argsort(got[0]), np.argsort(want[0])
+            for g, w in zip(got, want):
+                assert np.array_equal(g[got_order], w[want_order]), (oriented, xi, depth)
+    assert seen_short
+
+
+def test_series_coefficients_stay_within_the_int64_budget():
+    # 1/(1 - t^-1)^5 has coefficient C(d + 4, 4) at depth d, past 2^48 at d = 10^4
+    oriented, pairs = ((1,),) * 5, [1] * 5
+    _, strides = _packing([(0,)], [(oriented, pairs)], 10 ** 4)
+    assert int(_expand_series(oriented, pairs, 3000, strides)[2].max()) == math.comb(3004, 4)
+    with pytest.raises(SpindexError, match="int64 budget"):
+        _expand_series(oriented, pairs, 10 ** 4, strides)
 
 
 def test_unstable_cutoff_raises():

@@ -4,8 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+import spindex.orbits
 from spindex import (
     admissible_orbits_on_face,
+    all_faces,
+    build_root_system,
     coadjoint_orbit,
     face_of,
     is_admissible,
@@ -13,8 +16,8 @@ from spindex import (
 )
 from spindex.errors import EmptyFaceRegion, NotAdmissible, NotDominant, OrbitRegionTooLarge
 from spindex.orbits import OrbitIndex
-from spindex.roots import face_from_vanishing_set
-from spindex.weights import weight
+from spindex.roots import face_from_vanishing_set, is_regular
+from spindex.weights import wadd, weight
 
 
 def test_admissibility_examples(a2):
@@ -40,6 +43,30 @@ def test_orbit_index_family(a2):
 def test_orbit_index_requires_admissible(a2):
     with pytest.raises(NotAdmissible):
         orbit_spin_index(coadjoint_orbit(weight([1, 0]), a2), a2)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_orbit_index_reads_regularity_off_dominant_coordinates(label, monkeypatch):
+    # a dominant mu + rho_sigma is regular exactly when its simple coordinates
+    # are all > 0, so the pairing with every positive coroot is left to the
+    # shifts with a negative coordinate
+    rs = build_root_system(label)
+    calls = []
+    monkeypatch.setattr(spindex.orbits, "is_regular",
+                        lambda w, rs: calls.append(w) or is_regular(w, rs))
+    off_chamber = []
+    for face in all_faces(rs):
+        for orbit in admissible_orbits_on_face(face, (Q(0), Q(4)), rs):
+            shifted = wadd(orbit.mu, face.rho_sigma)
+            index = orbit_spin_index(orbit, rs)
+            if is_regular(shifted, rs):
+                assert index == OrbitIndex.irreducible(shifted), orbit.mu
+            else:
+                assert index.is_zero, orbit.mu
+            if min(shifted) < 0:
+                off_chamber.append(shifted)
+    assert calls == off_chamber
+    assert len(off_chamber) == {"C3": 2, "G2": 1}.get(label, 0)
 
 
 def test_ray_family_is_half_odd_integers(a2):
