@@ -179,9 +179,14 @@ class Decomposition:
 
     def __init__(self, mult: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
         items = mult.items() if isinstance(mult, Mapping) else mult
-        acc: dict[Weight, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for lam, m in items:
-            lam = tuple(Fraction(x) for x in lam)
+            # integer tuples, as in VirtualCharacter
+            try:
+                lam = tuple(_as_int(x) for x in lam)
+            except ValueError:
+                raise NotInShiftedLattice(
+                    f"infinitesimal character {tuple(lam)} is not a lattice weight") from None
             m = int(m)
             if m:
                 acc[lam] = acc.get(lam, 0) + m

@@ -27,6 +27,10 @@ class NotAdmissible(SpindexError):
     """A coadjoint orbit fails the admissibility lattice condition."""
 
 
+class NotOnFace(SpindexError):
+    """An orbit representative does not lie in the relative interior of its face."""
+
+
 class EmptyFaceRegion(SpindexError):
     """An enumeration region for a face is empty or missing bounds."""
 

@@ -9,9 +9,15 @@ stored as int tuples.  The index is the finite Laurent polynomial
 computed by orienting every tangent weight against a generic rational
 direction xi (each flip contributes a sign), expanding each inverted factor as
 a geometric series t^{-alpha/2} sum_k t^{-k alpha}, truncating at a pairing
-depth along xi, and summing over fixed points.  The direction is the first
-generic one of a fixed candidate list, and the depth reaches a few steps past
-a two-sided bound on the support of the sum, so both follow from the model.
+depth along xi, and summing over fixed points.  The depth reaches a few steps
+past a two-sided bound on the support of the sum, so it follows from the
+model, and so does the direction.  That is h = 2 rho-check whenever h is
+generic, which it is for every orbit model because their tangent weights are
+roots; keeping h there leaves their expansions as they are, where choosing by
+cost moved many of them and saved no time beyond run-to-run noise.
+Otherwise it is the generic nudge h + k e_i (k = 1, 2) with the fewest
+predicted series terms, a count that needs only pairings with xi, and
+rational candidates come last.
 When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
 UnstableCutoff when it fails.
@@ -38,6 +44,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -219,10 +226,17 @@ class ManifoldModel:
 # -- expansion direction ------------------------------------------------------
 
 
+def _integral_candidates(rs: RootSystem) -> list[tuple[int, ...]]:
+    """h = 2 rho-check, then its nudges h + k e_i for k = 1, 2."""
+    h = rs._height_fun
+    return [h] + [h[:i] + (h[i] + k,) + h[i + 1:] for k in (1, 2) for i in range(rs.rank)]
+
+
 def _direction_candidates(rs: RootSystem) -> list[Weight]:
+    """The integral candidates, then rational ones for tangents orthogonal to all of them."""
     r = rs.rank
     h = weight(rs._height_fun)
-    cands = [h]
+    cands = [weight(c) for c in _integral_candidates(rs)]
     cands.append(wadd(h, weight(Fraction(k, 2 * r + 3) for k in range(1, r + 1))))
     cands.append(wadd(h, weight(Fraction((r + 2) ** k, 97) for k in range(r))))
     cands.append(wadd(h, weight(Fraction((2 * r + 5) ** k, 8191) for k in range(r))))
@@ -236,7 +250,7 @@ def _tangent_set(model: ManifoldModel) -> set[tuple[int, ...]]:
 
 
 def _pair(a, xi_int) -> int:
-    return sum(c * x for c, x in zip(a, xi_int))
+    return sum(map(mul, a, xi_int))
 
 
 def _is_generic(xi: Weight, tangents) -> bool:
@@ -245,14 +259,38 @@ def _is_generic(xi: Weight, tangents) -> bool:
 
 
 def _direction(model: ManifoldModel) -> Weight:
-    """The first candidate direction pairing nonzero against every tangent weight."""
+    """h when it pairs nonzero against every tangent weight, as it does for orbit models.
+
+    Otherwise the generic nudge of h with the fewest predicted series terms,
+    and failing that the first generic rational candidate.
+    """
+    rs = model.root_system
     tangents = _tangent_set(model)
-    xi = next((c for c in _direction_candidates(model.root_system)
-               if _is_generic(c, tangents)), None)
+    h, *nudges = _integral_candidates(rs)
+    if _is_generic(h, tangents):
+        return weight(h)
+    generic = [xi for xi in nudges if _is_generic(xi, tangents)]
+    if generic:
+        return weight(min(generic, key=lambda xi: _predicted_terms(model, xi)))
+    xi = next((c for c in _direction_candidates(rs) if _is_generic(c, tangents)), None)
     if xi is None:
         raise NonGenericDirection(
             f"no candidate expansion direction is generic for model {model.name!r}")
     return xi
+
+
+def _predicted_terms(model: ManifoldModel, xi: tuple[int, ...]) -> Fraction:
+    """The size of the expansion along an integral generic xi, up to constant factors.
+
+    A point whose k oriented tangent weights pair to n_j with xi has about
+    (base - floor)^k / (k! prod_j n_j) series terms above the floor; k is the
+    same at every candidate, so the k! is left out.
+    """
+    points = [_PointData(fp, xi) for fp in model.fixed_points]
+    floor, _ = _window(points, 1)
+    return sum(Fraction((pd.base - floor) ** len(pd.oriented),
+                        math.prod(_pair(a, xi) for a in pd.oriented))
+               for pd in points)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -264,22 +302,38 @@ def _scale_direction(xi: Weight) -> tuple[tuple[int, ...], int]:
 
 
 class _PointData:
-    __slots__ = ("nu", "oriented", "sign", "base")
+    __slots__ = ("nu", "oriented", "sign", "base", "total")
 
     def __init__(self, fp: FixedPointDatum, xi_int):
         sign = 1
         oriented = []
+        total = 0
         for a in fp.tangent_weights:
-            if _pair(a, xi_int) < 0:
+            n = _pair(a, xi_int)
+            if n < 0:
                 a = wneg(a)
                 sign = -sign
             oriented.append(a)
+            total += abs(n)
         # eta - sum(oriented) differs from eta - sum(tangents), which
         # FixedPointDatum checked is in 2*Lambda, by twice the flipped weights
         self.nu = tuple(c // 2 for c in _less_sum(fp.det_weight, oriented))
         self.oriented = tuple(sorted(oriented))
         self.sign = sign
         self.base = _pair(self.nu, xi_int)
+        self.total = total  # the sum of the oriented pairings
+
+
+def _window(points: list[_PointData], den: int) -> tuple[int, int]:
+    """The expansion floor and the support bound along xi, as pairings with den * xi.
+
+    A finite sum has its support in [low, top] along xi, so the window reaches
+    past it and every term in the margin below must cancel.
+    """
+    top = max(pd.base for pd in points)
+    low = min(pd.base - pd.total for pd in points)
+    depth = max(1, math.ceil(Fraction(top - low, den))) + 2
+    return top - (depth + _CANCELLATION_MARGIN) * den, top - depth * den
 
 
 def _packing(nus, series, slab: int) -> tuple[list[int], list[int]]:
@@ -377,14 +431,8 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
     pairs = {oriented: [_pair(a, xi_int) for a in oriented] for oriented in groups}
+    floor, result_floor = _window(points, den)
     top = max(pd.base for pd in points)
-    low = min(min(pd.base for pd in members) - sum(pairs[oriented])
-              for oriented, members in groups.items())
-    # a finite sum has its support in [low, top] along xi, so the window
-    # reaches past it and every term in the margin below must cancel
-    depth = max(1, math.ceil(Fraction(top - low, den))) + 2
-    floor = top - (depth + _CANCELLATION_MARGIN) * den
-    result_floor = top - depth * den
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
     parts = []
     for oriented, members in groups.items():

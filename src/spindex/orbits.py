@@ -14,14 +14,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyFaceRegion, NotAdmissible, NotDominant, OrbitRegionTooLarge
+from .errors import (
+    EmptyFaceRegion,
+    NotAdmissible,
+    NotDominant,
+    NotOnFace,
+    OrbitRegionTooLarge,
+)
 from .roots import _ORBIT_BOUND, Face, RootSystem, face_of, is_regular
 from .weights import (
     Weight,
     format_weight,
     is_dominant,
     is_integral,
-    wadd,
     wsub,
 )
 
@@ -30,10 +35,22 @@ Interval = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class CoadjointOrbit:
-    """Orbit through its dominant representative, tagged with the containing face."""
+    """Orbit through its dominant representative, tagged with the containing face.
+
+    Raises NotDominant for a representative with a negative coordinate and
+    NotOnFace for one outside the relative interior of the face.
+    """
 
     mu: Weight
     face: Face
+
+    def __post_init__(self):
+        if not is_dominant(self.mu):
+            raise NotDominant(f"orbit representative must be dominant, got {self.mu}")
+        zeros = frozenset(i + 1 for i, c in enumerate(self.mu) if c == 0)
+        if len(self.mu) != len(self.face.rho_sigma) or zeros != self.face.vanishing_set:
+            raise NotOnFace(f"orbit representative ({format_weight(self.mu)}) does not lie "
+                            f"on the face {self.face.label()}")
 
     def label(self) -> str:
         return f"K.({format_weight(self.mu)})"
@@ -79,15 +96,21 @@ def is_admissible(mu: Weight, rs: RootSystem) -> bool:
     """Lattice test mu - rho + rho_sigma integral, with sigma the face of mu."""
     if not is_dominant(mu):
         raise NotDominant(f"admissibility test requires a dominant weight, got {mu}")
-    sigma = face_of(mu, rs)
-    return is_integral(wadd(wsub(mu, rs.rho), sigma.rho_sigma))
+    return _admissible_on(mu, face_of(mu, rs))
+
+
+def _admissible_on(mu: Weight, face: Face) -> bool:
+    """The lattice test for a mu on the face, read off the denominators of mu."""
+    return all(c.denominator == d for c, d in zip(mu, face.admissible_denominators))
 
 
 def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     """Index of an admissible orbit: zero on a wall, else one irreducible."""
-    if not is_admissible(orbit.mu, rs):
+    if not _admissible_on(orbit.mu, orbit.face):
         raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
-    shifted = wadd(orbit.mu, orbit.face.rho_sigma)
+    # admissible: mu_i and rho_sigma_i share a denominator, and their sum is an integer
+    shifted = tuple((c.numerator + s.numerator) // c.denominator
+                    for c, s in zip(orbit.mu, orbit.face.rho_sigma))
     # a dominant weight is regular exactly when every simple coordinate is > 0
     low = min(shifted)
     if not (low > 0 if low >= 0 else is_regular(shifted, rs)):
@@ -132,7 +155,7 @@ def admissible_orbits_on_face(
     free = _free_indices(face, rank)
     if not free:
         mu = tuple(Fraction(0) for _ in range(rank))
-        return [coadjoint_orbit(mu, rs)] if is_admissible(mu, rs) else []
+        return [CoadjointOrbit(mu, face)] if _admissible_on(mu, face) else []
     if bounds is None:
         raise EmptyFaceRegion(f"face {face.label()} has free coordinates; bounds required")
     if isinstance(bounds, dict):
@@ -163,8 +186,8 @@ def admissible_orbits_on_face(
         mu = [Fraction(0)] * rank
         for i, c in zip(free, combo):
             mu[i] = c
-        orbit = coadjoint_orbit(tuple(mu), rs)
-        if not is_admissible(orbit.mu, rs):
+        orbit = CoadjointOrbit(tuple(mu), face)
+        if not _admissible_on(orbit.mu, face):
             raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
         orbits.append(orbit)
     return orbits

@@ -274,9 +274,10 @@ def verify_qr(model: ManifoldModel, provider) -> QRReport:
             if not oindex.is_zero and reduced:
                 rhs_acc[oindex.lam] = rhs_acc.get(oindex.lam, 0) + reduced
     rhs = Decomposition(rhs_acc)
+    left, right = lhs.multiplicities(), rhs.multiplicities()
     diffs: dict[Weight, tuple[int, int]] = {}
-    for lam in set(lhs.multiplicities()) | set(rhs.multiplicities()):
-        a, b = lhs.multiplicity(lam), rhs.multiplicity(lam)
+    for lam in left.keys() | right.keys():
+        a, b = left.get(lam, 0), right.get(lam, 0)
         if a != b:
             diffs[lam] = (a, b)
     return QRReport(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from .errors import NotDominant, UnknownType, WeylGroupTooLarge
@@ -46,6 +46,16 @@ class Face:
     vanishing_set: frozenset[int]
     rho_sigma: Weight
     levi_positive_roots: tuple[Weight, ...]
+
+    @cached_property
+    def admissible_denominators(self) -> tuple[int, ...]:
+        """The denominator of each coordinate of an admissible weight on this face.
+
+        mu - rho + rho_sigma is integral exactly when each mu_i has the
+        denominator of (rho - rho_sigma)_i, which is 1 or 2 because 2 rho_sigma
+        is a sum of roots and rho = (1, ..., 1).
+        """
+        return tuple((1 - c).denominator for c in self.rho_sigma)
 
     def label(self) -> str:
         if not self.vanishing_set:

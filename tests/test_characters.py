@@ -63,6 +63,18 @@ def test_weyl_character_validation(a2):
 def test_character_weights_must_be_integral():
     with pytest.raises(NotInShiftedLattice):
         VirtualCharacter.monomial(weight([Q(1, 2)]))
+    with pytest.raises(NotInShiftedLattice):
+        Decomposition({weight([Q(3, 2), 1]): 1})
+
+
+def test_decomposition_keys_are_machine_integers():
+    dec = Decomposition({weight([2, 1]): 1, ("1", "1"): 2})
+    assert all(type(c) is int for lam in dec.multiplicities() for c in lam)
+    assert dec == Decomposition({(2, 1): 1, (1, 1): 2})
+    # multiplicity takes any rational coordinates; a non-lattice one has none
+    for lam in [(2, 1), weight([2, 1]), ("2", "1"), (2.0, 1)]:
+        assert dec.multiplicity(lam) == 1
+    assert dec.multiplicity((Q(3, 2), 1)) == 0 and dec.multiplicity(("1", "1")) == 2
 
 
 @pytest.mark.parametrize("a", [(1,), (-3,), (2, -1), (-1, 2), (1, 1), (0, -1), (-1, 2, -1)])

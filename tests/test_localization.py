@@ -39,10 +39,12 @@ from spindex.localization import (
     _direction,
     _direction_candidates,
     _expand_series,
+    _integral_candidates,
     _is_generic,
     _localize,
     _packing,
     _pair,
+    _predicted_terms,
     _scale_direction,
     _tangent_set,
 )
@@ -253,11 +255,42 @@ def test_index_is_independent_of_the_direction(a2, a3):
             assert _localize(model, xi) == chi, (model.name, xi)
 
 
-def test_direction_prefers_a_short_window():
-    # the first three candidates for A2 are each orthogonal to one of these;
-    # 1 + 1/97^k is generic too, but its 97^2 denominator makes a long window
-    model = one_point_model("A2", ["1", "1"], [["1", "-1"], ["16", "-15"], ["66", "-65"]])
-    assert _direction(model) == weight([Q(16383, 8191), Q(16391, 8191)])
+def test_direction_prefers_a_short_window(a2):
+    # h = (2, 2) is orthogonal to (1, -1) in each model, so the rule picks the
+    # generic nudge h + k e_i with the fewest predicted series terms; the last
+    # candidate, 1 + 1/97^k, has a 97^2 denominator and a long window
+    models = [
+        one_point_model("A2", ["1", "1"], [["1", "-1"], ["16", "-15"], ["66", "-65"]]),
+        *(su3_flag_bundle(a, b) for a, b in [(0, 0), (0, 40), (40, 0), (7, 19), (40, 40)]),
+    ]
+    slowest = _direction_candidates(a2)[-1]
+    for model in models:
+        chosen = _direction(model)
+        generic = [xi for xi in _integral_candidates(a2)[1:]
+                   if _is_generic(xi, _tangent_set(model))]
+        assert chosen in generic and chosen != slowest, model.name
+        assert _predicted_terms(model, tuple(map(int, chosen))) == \
+            min(_predicted_terms(model, xi) for xi in generic), model.name
+    # when every nudge is orthogonal to a tangent weight too, the first
+    # generic rational candidate is the last resort, not 1 + 1/97^k
+    model = one_point_model("A2", ["1", "1"],
+                            [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"]])
+    assert _direction(model) == weight([Q(15, 7), Q(16, 7)])
+
+
+def test_orbit_models_keep_h_and_su3_models_keep_their_character():
+    for label in ("A1", "A2", "A3", "B2", "G2"):
+        rs = build_root_system(label)
+        for face in all_faces(rs):
+            for orbit in admissible_orbits_on_face(face, (Q(0), Q(4)), rs):
+                model = orbit_model(rs, orbit.mu)
+                assert _direction(model) == weight(rs._height_fun), model.name
+    old = weight([Q(15, 7), Q(16, 7)])  # h + (1/7, 2/7), the direction before the rule
+    for a in range(0, 40, 3):
+        for b in range(0, 40, 3):
+            model = su3_flag_bundle(a, b)
+            assert _direction(model) != old
+            assert localized_index(model) == _localize(model, old), model.name
 
 
 def _per_point_expansion(nu, oriented, pairs, sign, base, floor, strides):
@@ -399,9 +432,10 @@ def test_unstable_cutoff_raises():
 
 
 def test_non_generic_direction():
-    # each of the five candidate directions for A2 is orthogonal to one of these
-    tangents = [["1", "-1"], ["16", "-15"], ["66", "-65"], ["4705", "-4753"],
-                ["16391", "-16383"]]
+    # each of the five integral and four rational candidate directions for A2
+    # is orthogonal to one of these
+    tangents = [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"],
+                ["16", "-15"], ["66", "-65"], ["16391", "-16383"], ["4705", "-4753"]]
     with pytest.raises(NonGenericDirection):
         localized_index(one_point_model("A2", ["1", "1"], tangents))
 

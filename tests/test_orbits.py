@@ -14,8 +14,14 @@ from spindex import (
     is_admissible,
     orbit_spin_index,
 )
-from spindex.errors import EmptyFaceRegion, NotAdmissible, NotDominant, OrbitRegionTooLarge
-from spindex.orbits import OrbitIndex
+from spindex.errors import (
+    EmptyFaceRegion,
+    NotAdmissible,
+    NotDominant,
+    NotOnFace,
+    OrbitRegionTooLarge,
+)
+from spindex.orbits import CoadjointOrbit, OrbitIndex
 from spindex.roots import face_from_vanishing_set, is_regular
 from spindex.weights import wadd, weight
 
@@ -24,6 +30,8 @@ def test_admissibility_examples(a2):
     assert is_admissible(weight([Q(3, 2), 0]), a2)         # mu - rho + rho_sigma = 0
     assert not is_admissible(weight([1, 0]), a2)           # shift is (-1/2, 0)
     assert is_admissible(weight([1, 1]), a2)               # regular lattice point
+    assert not is_admissible(weight([Q(1, 2), Q(1, 2)]), a2)  # shift is (-1/2, -1/2)
+    assert not is_admissible(weight([Q(1, 3), 0]), a2)     # shift is (-1/6, 0)
 
 
 def test_admissibility_requires_dominant(a2):
@@ -43,6 +51,22 @@ def test_orbit_index_family(a2):
 def test_orbit_index_requires_admissible(a2):
     with pytest.raises(NotAdmissible):
         orbit_spin_index(coadjoint_orbit(weight([1, 0]), a2), a2)
+
+
+def test_orbit_representative_must_lie_on_its_face(a2):
+    # orbit_spin_index takes rho_sigma from the face it is given: on S={}
+    # (3/2, 0) would get index 0 instead of pi(1,1), and (1,1) on S={1,2}
+    # would get pi(2,2) instead of pi(1,1)
+    for mu, vanishing in [((Q(3, 2), 0), set()), ((1, 1), {1, 2}), ((1, 1, 0), set())]:
+        face = face_from_vanishing_set(frozenset(vanishing), a2)
+        with pytest.raises(NotOnFace, match="does not lie on the face"):
+            CoadjointOrbit(weight(mu), face)
+    with pytest.raises(NotDominant):
+        CoadjointOrbit(weight([-1, 1]), face_from_vanishing_set(frozenset(), a2))
+    assert orbit_spin_index(coadjoint_orbit(weight([Q(3, 2), 0]), a2), a2) == \
+        OrbitIndex.irreducible(weight([1, 1]))
+    assert orbit_spin_index(coadjoint_orbit(weight([1, 1]), a2), a2) == \
+        OrbitIndex.irreducible(weight([1, 1]))
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
