@@ -71,10 +71,6 @@ class UnstableCutoff(SpindexError):
     """The fixed-point sum is not a finite character: terms below its support bound survive."""
 
 
-class KirwanHullTooLarge(SpindexError):
-    """A Kirwan point piece has more than 2^16 subsets to test for hull membership."""
-
-
 class ProviderMissingOrbit(SpindexError):
     """A table provider has no entry for a required orbit."""
 

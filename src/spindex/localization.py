@@ -39,7 +39,6 @@ explicit bound checks so the arithmetic stays exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -50,7 +49,6 @@ import numpy as np
 
 from .characters import VirtualCharacter
 from .errors import (
-    KirwanHullTooLarge,
     NonGenericDirection,
     NotAdmissible,
     ParityViolation,
@@ -59,7 +57,6 @@ from .errors import (
 )
 from .orbits import CoadjointOrbit, admissible_orbits_on_face, is_admissible
 from .roots import (
-    _ORBIT_BOUND,
     Face,
     RootSystem,
     StabilizerClass,
@@ -151,7 +148,9 @@ class KirwanPiece:
     """Declared portion of the Kirwan set lying in the closure of one face.
 
     Ray faces may carry closed segments along the ray; any face may carry a
-    finite point list, read as the convex hull of the points.
+    finite point list, read as the convex hull of the points.  Membership in
+    that hull is one exact linear feasibility problem (``_in_hull``), so a
+    piece may hold any number of points.
     """
 
     face: Face
@@ -206,9 +205,8 @@ class ManifoldModel:
             if piece.face != honest:
                 raise SpindexError(
                     f"Kirwan piece face {piece.face.label()} is not a chamber face")
-            free = [i for i in range(rs.rank) if (i + 1) not in piece.face.vanishing_set]
-            if piece.segments and len(free) != 1:
-                raise SpindexError("segment pieces are only defined on ray faces")
+            if piece.segments:
+                _free_coordinate(piece.face)  # raises unless a ray face
             for lo, hi in piece.segments:
                 if lo < 0 or hi < lo:
                     raise SpindexError(f"malformed Kirwan segment [{lo}, {hi}]")
@@ -511,9 +509,7 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     2 mu on machine integers and each image is its own determinant weight.
     """
     mu = weight(mu)
-    if len(mu) != rs.rank:
-        raise SpindexError(
-            f"orbit_model needs a rank-{rs.rank} weight for {rs.label}, got rank {len(mu)}")
+    rs.check_rank(mu, "orbit_model")
     if not is_admissible(mu, rs):
         raise NotAdmissible(f"orbit through ({format_weight(mu)}) is not admissible")
     sigma = face_of(mu, rs)
@@ -628,66 +624,59 @@ def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> 
 # -- Kirwan-set queries ---------------------------------------------------------
 
 
-def _free_coordinate(face: Face, rank: int) -> int:
-    free = [i for i in range(rank) if (i + 1) not in face.vanishing_set]
-    if len(free) != 1:
+def _free_coordinate(face: Face) -> int:
+    """The one free coordinate of a ray face, along which its segments run."""
+    if len(face.free_coordinates) != 1:
         raise SpindexError("segment pieces are only defined on ray faces")
-    return free[0]
-
-
-def _affine_solve(points: list[Weight], x: Weight) -> bool:
-    """Exact test for one affinely independent subset: x = sum l_i p_i, l >= 0, sum l = 1."""
-    rank = len(x)
-    rows = [[p[i] for p in points] + [x[i]] for i in range(rank)]
-    rows.append([Fraction(1)] * len(points) + [Fraction(1)])
-    pivots = []
-    r = 0
-    for col in range(len(points)):
-        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
-        if piv is None:
-            return False  # affinely dependent subset; skip
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][col]
-        rows[r] = [v / scale for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [v - f * u for v, u in zip(rows[k], rows[r])]
-        pivots.append(r)
-        r += 1
-    if any(any(v != 0 for v in rows[k][:-1]) or rows[k][-1] != 0 for k in range(r, len(rows))):
-        return False  # inconsistent
-    coeffs = [rows[k][-1] for k in pivots]
-    return all(c >= 0 for c in coeffs)
+    return face.free_coordinates[0]
 
 
 def _in_hull(points: tuple[Weight, ...], x: Weight) -> bool:
-    """Whether x is a convex combination of some <= rank + 1 of the points.
+    """Whether x is a convex combination of the points, by a phase-1 simplex.
 
-    Tries every such subset, so a piece with more than 2^16 of them raises
-    KirwanHullTooLarge before the first one.
+    The l_j >= 0 with sum_j l_j p_j = x and sum_j l_j = 1 exist exactly when
+    the phase-1 problem reaches 0: each row, flipped so that its right-hand
+    side is >= 0, starts with an artificial variable of its own in the basis,
+    and the pivots minimize their sum.  Bland's rule (the least improving
+    column enters; ties in the ratio test go to the least basic index) cannot
+    cycle, so the loop ends, and Fractions keep every step exact.  There is no
+    size bound: each pivot costs O(rank * len(points)).
     """
-    rank = len(x)
-    subsets = sum(math.comb(len(points), k) for k in range(1, rank + 2))
-    if subsets > _ORBIT_BOUND:
-        raise KirwanHullTooLarge(
-            f"a Kirwan piece of {len(points)} points in rank {rank} has {subsets} "
-            f"hull subsets, more than {_ORBIT_BOUND}")
-    if x in points:
-        return True
-    for size in range(1, min(len(points), rank + 1) + 1):
-        for subset in itertools.combinations(points, size):
-            if _affine_solve(list(subset), x):
-                return True
-    return False
+    n, m = len(points), len(x) + 1
+    rows = []
+    for i, b in enumerate((*x, Fraction(1))):
+        sign = -1 if b < 0 else 1
+        coeffs = [p[i] for p in points] if i < m - 1 else [Fraction(1)] * n
+        rows.append([sign * c for c in coeffs] + [Fraction(int(k == i)) for k in range(m)]
+                    + [sign * b])
+    basis = list(range(n, n + m))
+    # reduced costs of the sum of the artificial variables, and minus that sum
+    cost = [-sum(col) for col in zip(*rows)]
+    cost[n:n + m] = [Fraction(0)] * m
+    while True:
+        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        # the objective is bounded below by 0, so some row limits the step
+        _, _, leave = min((r[-1] / r[enter], basis[k], k)
+                          for k, r in enumerate(rows) if r[enter] > 0)
+        pivot = rows[leave]
+        scale = pivot[enter]
+        pivot[:] = [v / scale for v in pivot]
+        for r in (*rows, cost):
+            f = r[enter]
+            if r is not pivot and f:
+                r[:] = [v - f * u for v, u in zip(r, pivot)]
+        basis[leave] = enter
 
 
 def kirwan_contains(kirwan: KirwanSet, x: Weight, rs: RootSystem) -> bool:
     """Whether the declared Kirwan set covers the dominant point x."""
     x = weight(x)
+    rs.check_rank(x, "kirwan_contains")
     for piece in kirwan.pieces:
         if piece.segments:
-            j = _free_coordinate(piece.face, rs.rank)
+            j = _free_coordinate(piece.face)
             if all(c == 0 for i, c in enumerate(x) if i != j):
                 c = x[j]
                 if any(lo <= c <= hi for lo, hi in piece.segments):
@@ -722,7 +711,6 @@ def kirwan_admissible_orbits(kirwan: KirwanSet, face: Face, rs: RootSystem) -> l
 
     Sorted by representative; point pieces filter their bounding box by hull membership.
     """
-    free = [i for i in range(rs.rank) if (i + 1) not in face.vanishing_set]
     found: dict[Weight, CoadjointOrbit] = {}
     for piece in kirwan.pieces:
         if piece.segments and piece.face == face:
@@ -731,7 +719,7 @@ def kirwan_admissible_orbits(kirwan: KirwanSet, face: Face, rs: RootSystem) -> l
                     found[orbit.mu] = orbit
         if piece.points:
             box = {i + 1: (min(p[i] for p in piece.points), max(p[i] for p in piece.points))
-                   for i in free}
+                   for i in face.free_coordinates}
             for orbit in admissible_orbits_on_face(face, box, rs):
                 if _in_hull(piece.points, orbit.mu):
                     found[orbit.mu] = orbit

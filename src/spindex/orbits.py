@@ -94,6 +94,7 @@ def coadjoint_orbit(mu: Weight, rs: RootSystem) -> CoadjointOrbit:
 
 def is_admissible(mu: Weight, rs: RootSystem) -> bool:
     """Lattice test mu - rho + rho_sigma integral, with sigma the face of mu."""
+    rs.check_rank(mu, "is_admissible")
     if not is_dominant(mu):
         raise NotDominant(f"admissibility test requires a dominant weight, got {mu}")
     return _admissible_on(mu, face_of(mu, rs))
@@ -122,10 +123,6 @@ def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     return OrbitIndex.irreducible(shifted)
 
 
-def _free_indices(face: Face, rank: int) -> list[int]:
-    return [i for i in range(rank) if (i + 1) not in face.vanishing_set]
-
-
 def _admissible_run(base_residue: Fraction, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
     """The least c > 0 in [lo, hi] congruent to base_residue mod 1, and how many
     values c, c + 1, ... stay at most hi."""
@@ -152,7 +149,7 @@ def admissible_orbits_on_face(
     built.
     """
     rank = rs.rank
-    free = _free_indices(face, rank)
+    free = face.free_coordinates
     if not free:
         mu = tuple(Fraction(0) for _ in range(rank))
         return [CoadjointOrbit(mu, face)] if _admissible_on(mu, face) else []

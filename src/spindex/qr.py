@@ -180,10 +180,11 @@ def multiplicity(model: ManifoldModel, lam: Weight, provider) -> int:
     reduced index zero).
     """
     lam = weight(lam)
+    rs = model.root_system
+    rs.check_rank(lam, "multiplicity")
     if not (is_integral(lam) and is_strictly_dominant(lam)):
         raise NotRegularDominant(f"multiplicity is indexed by strictly dominant "
                                  f"lattice weights, got {format_weight(lam)}")
-    rs = model.root_system
     total = 0
     for face in contributing_faces(model):
         mu = wsub(lam, face.rho_sigma)
@@ -312,11 +313,9 @@ def validate_provider(provider, model: ManifoldModel) -> list[str]:
     rs = model.root_system
     by_mu: dict[Weight, list[TableEntry]] = {}
     for e in provider.entries:
-        ok = True
         try:
-            if not is_admissible(e.mu, rs):
-                ok = False
-        except Exception:
+            ok = is_admissible(e.mu, rs)
+        except SpindexError:  # a key of the wrong rank, or not dominant
             ok = False
         if not ok:
             warnings.append(

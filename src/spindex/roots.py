@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
 
-from .errors import NotDominant, UnknownType, WeylGroupTooLarge
+from .errors import NotDominant, SpindexError, UnknownType, WeylGroupTooLarge
 from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -56,6 +56,11 @@ class Face:
         is a sum of roots and rho = (1, ..., 1).
         """
         return tuple((1 - c).denominator for c in self.rho_sigma)
+
+    @cached_property
+    def free_coordinates(self) -> tuple[int, ...]:
+        """The 0-based coordinates that do not vanish on this face."""
+        return tuple(i for i in range(len(self.rho_sigma)) if i + 1 not in self.vanishing_set)
 
     def label(self) -> str:
         if not self.vanishing_set:
@@ -284,6 +289,12 @@ class RootSystem:
         return data
 
     # -- queries ---------------------------------------------------------------
+
+    def check_rank(self, w: Weight, caller: str) -> None:
+        """Raise SpindexError naming both ranks unless w has this system's rank."""
+        if len(w) != self.rank:
+            raise SpindexError(
+                f"{caller} needs a rank-{self.rank} weight for {self.label}, got rank {len(w)}")
 
     def reflect(self, i: int, x: Weight) -> Weight:
         """s_i(x) = x - x_i alpha_i; coordinates keep their type."""

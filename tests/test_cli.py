@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import itertools
 import json
 import time
 
@@ -145,6 +146,35 @@ def test_table_provider_from_file(capsys, tmp_path):
                        "--mu", "3/2,0", "--provider", f"table:{table}")
     assert code == 0
     assert "verdict: match" in out
+
+
+def test_table_key_of_the_wrong_rank_is_a_warning(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"entries": [
+        {"mu": mu, "value": 1}
+        for mu in (["0", "1/2"], ["0", "3/2"], ["1/2", "0"], ["3/2", "0"], ["1"])]}))
+    code, out, _ = run(capsys, "verify-qr", "--model", "su3-flag-bundle", "--a", "1",
+                       "--b", "3", "--provider", f"table:{table}")
+    assert code == 0
+    assert "warning: NonAdmissibleKey: table entry at (1) is not an admissible orbit" in out
+    assert "verdict: match" in out
+
+
+def test_moment_report_on_a_36_point_kirwan_piece(capsys, tmp_path):
+    # 36 points in rank 3 have C(36,1) + ... + C(36,4) = 66,711 subsets of at most
+    # rank + 1 points, so membership must not enumerate them; the centre of the
+    # cube lies inside the hull of the other points
+    obj = model_to_json_obj(orbit_model(build_root_system("A3"), (1, 1, 1)))
+    cube = [p for p in itertools.product(range(3), repeat=3) if p != (1, 1, 1)]
+    far = [(3, k, k % 3) for k in range(10)]
+    obj["kirwan"] = [{"face": [], "segments": [],
+                      "points": [[str(c) for c in p] for p in cube + far]}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "index", "--model", str(model), "--moment-report")
+    assert code == 0
+    rows = out.split("in kirwan", 1)[1].splitlines()[2:]
+    assert len(rows) == 24 and all(row.split()[-1] == "yes" for row in rows), out
 
 
 def test_from_multiplicities_provider(capsys):

@@ -2,6 +2,7 @@
 
 Guards on runtime paths are explicit raises: ``python -O`` strips ``assert``.
 Every answer is exact, so no float arithmetic appears anywhere in it.
+Every error class in ``errors.py`` is raised somewhere, so none lingers unused.
 """
 
 import ast
@@ -36,3 +37,19 @@ def _is_float(node) -> bool:
 def test_the_package_has_no_float_arithmetic():
     found = [where for where, node in _nodes() if _is_float(node)]
     assert not found, f"float arithmetic in src/spindex: {', '.join(found)}"
+
+
+def _raised_name(node) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = {_raised_name(node) for _, node in _nodes()
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert defined, "no error classes found in errors.py"
+    assert not defined - raised, f"error classes never raised: {sorted(defined - raised)}"

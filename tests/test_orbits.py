@@ -20,6 +20,7 @@ from spindex.errors import (
     NotDominant,
     NotOnFace,
     OrbitRegionTooLarge,
+    SpindexError,
 )
 from spindex.orbits import CoadjointOrbit, OrbitIndex
 from spindex.roots import face_from_vanishing_set, is_regular
@@ -32,6 +33,11 @@ def test_admissibility_examples(a2):
     assert is_admissible(weight([1, 1]), a2)               # regular lattice point
     assert not is_admissible(weight([Q(1, 2), Q(1, 2)]), a2)  # shift is (-1/2, -1/2)
     assert not is_admissible(weight([Q(1, 3), 0]), a2)     # shift is (-1/6, 0)
+
+
+def test_admissibility_checks_the_rank(a2):
+    with pytest.raises(SpindexError, match="is_admissible needs a rank-2 weight for A2, got rank 1"):
+        is_admissible(weight([1]), a2)
 
 
 def test_admissibility_requires_dominant(a2):

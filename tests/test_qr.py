@@ -28,7 +28,6 @@ from spindex import (
     verify_qr,
 )
 from spindex.errors import (
-    KirwanHullTooLarge,
     OrbitRegionTooLarge,
     ProviderInvalid,
     ProviderMissingOrbit,
@@ -37,11 +36,12 @@ from spindex.errors import (
 from spindex.localization import (
     KirwanPiece,
     KirwanSet,
+    _in_hull,
     kirwan_admissible_orbits,
     kirwan_contains,
     kirwan_faces_met,
 )
-from spindex.roots import Face, StabilizerClass, face_from_vanishing_set
+from spindex.roots import Face, StabilizerClass, build_root_system, face_from_vanishing_set
 from spindex.weights import weight
 
 
@@ -122,6 +122,11 @@ def test_multiplicity_formula(a2):
     # off the other ray entirely
     assert multiplicity(model, weight([3, 1]), one) == 0
     assert multiplicity(model, weight([5, 5]), one) == 0
+
+
+def test_multiplicity_checks_the_rank():
+    with pytest.raises(SpindexError, match="multiplicity needs a rank-2 weight for A2, got rank 1"):
+        multiplicity(su3_flag_bundle(1, 3), weight([1]), ConstantProvider(1))
 
 
 def test_verify_qr_su3_13(a2):
@@ -217,6 +222,10 @@ def test_validate_provider(a2):
     warnings = validate_provider(bad_key, model)
     assert any(w.startswith("NonAdmissibleKey") for w in warnings)
 
+    wrong_rank = TableProvider([TableEntry(weight([1]), 1)])
+    assert validate_provider(wrong_rank, model) == [
+        "NonAdmissibleKey: table entry at (1) is not an admissible orbit"]
+
     wall = TableProvider([
         TableEntry(weight([Q(3, 2), 0]), 1, chamber="left"),
         TableEntry(weight([Q(3, 2), 0]), 2, chamber="right"),
@@ -282,16 +291,116 @@ def test_kirwan_hull_membership_on_small_pieces(a2, a3):
             assert kirwan_contains(kirwan, weight(x), rs) == (sum(x) <= 2), x
 
 
-def test_kirwan_hull_subsets_are_bounded(a3):
-    # 40 points in rank 3: C(40,1) + ... + C(40,4) = 102,090 subsets > 2^16
+def _affine_solve(points, x):
+    """Exact test for one affinely independent subset: x = sum l_i p_i, l >= 0, sum l = 1."""
+    rank = len(x)
+    rows = [[p[i] for p in points] + [x[i]] for i in range(rank)]
+    rows.append([Q(1)] * len(points) + [Q(1)])
+    pivots = []
+    r = 0
+    for col in range(len(points)):
+        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            return False  # affinely dependent subset; skip
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][col]
+        rows[r] = [v / scale for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [v - f * u for v, u in zip(rows[k], rows[r])]
+        pivots.append(r)
+        r += 1
+    if any(any(v != 0 for v in rows[k][:-1]) or rows[k][-1] != 0 for k in range(r, len(rows))):
+        return False  # inconsistent
+    return all(rows[k][-1] >= 0 for k in pivots)
+
+
+def _in_hull_by_subsets(points, x):
+    """The exhaustive oracle: by Caratheodory, x lies in the hull exactly when
+    some <= rank + 1 of the points hold it as a convex combination."""
+    return any(_affine_solve(list(subset), x)
+               for size in range(1, min(len(points), len(x) + 1) + 1)
+               for subset in itertools.combinations(points, size))
+
+
+def _oracle_piece(rng, rank):
+    """A small point piece, often degenerate: repeated, collinear or coplanar points."""
+    def coord():
+        return Q(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+    shape = rng.choice(["general", "repeats", "collinear", "flat", "one point"])
+    if shape == "one point":
+        return (weight([coord() for _ in range(rank)]),) * rng.randint(1, 3)
+    n = rng.randint(2, 6)
+    if shape in ("collinear", "flat"):
+        # combinations of one or two directions through a base point
+        base = [coord() for _ in range(rank)]
+        dirs = [[Q(rng.randint(-2, 2)) for _ in range(rank)]
+                for _ in range(1 if shape == "collinear" else 2)]
+        points = [weight([b + sum(Q(rng.randint(-2, 2)) * d[i] for d in dirs)
+                          for i, b in enumerate(base)]) for _ in range(n)]
+    else:
+        points = [weight([coord() for _ in range(rank)]) for _ in range(n)]
+    if shape == "repeats":
+        points += rng.sample(points, rng.randint(1, 2))
+    rng.shuffle(points)
+    return tuple(points)
+
+
+def _oracle_queries(rng, points):
+    """A vertex, listed points, a point on a segment between two, points just
+    outside, and half-integral points."""
+    rank = len(points[0])
+    p, q = rng.choice(points), rng.choice(points)
+    # the points extreme along c: stepping from one along c leaves the hull
+    c = [Q(rng.randint(-3, 3)) for _ in range(rank)]
+    if not any(c):
+        c[0] = Q(1)
+    far = max(points, key=lambda v: sum(a * b for a, b in zip(c, v)))
+    t = Q(1, 16)
+    return [far, p,
+            weight([(a + b) / 2 for a, b in zip(p, q)]),
+            weight([a + t * b for a, b in zip(far, c)]),
+            weight([a + t for a in p]),
+            weight([Q(rng.randint(-6, 6), 2) for _ in range(rank)]),
+            weight([Q(rng.randint(-6, 6), 2) for _ in range(rank)])]
+
+
+def test_kirwan_hull_simplex_agrees_with_the_subset_search():
+    rng = random.Random(14)
+    answers = {True: 0, False: 0}
+    for k in range(240):
+        points = _oracle_piece(rng, 1 + k % 3)
+        for x in _oracle_queries(rng, points):
+            expected = _in_hull_by_subsets(points, x)
+            assert _in_hull(points, x) == expected, (points, x)
+            answers[expected] += 1
+    # both answers occur often, so neither side can pass by a constant
+    assert min(answers.values()) > 400, answers
+
+
+def test_kirwan_hull_of_200_points_in_rank_5_answers_in_seconds():
+    a5 = build_root_system("A5")
     rng = random.Random(1)
-    points = tuple(weight([rng.randint(1, 9) for _ in range(3)]) for _ in range(40))
-    kirwan = KirwanSet((KirwanPiece(face=face_from_vanishing_set(frozenset(), a3),
+    points = tuple(weight([rng.randint(1, 9) for _ in range(5)]) for _ in range(200))
+    kirwan = KirwanSet((KirwanPiece(face=face_from_vanishing_set(frozenset(), a5),
                                     points=points),))
+    centroid = weight([sum(c) / len(points) for c in zip(*points)])
+    # the points extreme along c: a step from one of them along c leaves the hull
+    c = (1, -2, 3, 1, -1)
+    far = max(points, key=lambda v: sum(a * b for a, b in zip(c, v)))
     start = time.monotonic()
-    with pytest.raises(KirwanHullTooLarge, match="102090 hull subsets"):
-        kirwan_contains(kirwan, points[0], a3)
-    assert time.monotonic() - start < 1
+    assert kirwan_contains(kirwan, centroid, a5)
+    assert kirwan_contains(kirwan, weight([(a + b) / 2 for a, b in zip(*points[:2])]), a5)
+    assert not kirwan_contains(kirwan, weight([a + Q(b, 16) for a, b in zip(far, c)]), a5)
+    assert time.monotonic() - start < 5
+
+
+def test_kirwan_contains_checks_the_rank(a2):
+    kirwan = su3_flag_bundle(1, 3).kirwan
+    with pytest.raises(SpindexError,
+                       match="kirwan_contains needs a rank-2 weight for A2, got rank 1"):
+        kirwan_contains(kirwan, weight([1]), a2)
 
 
 def test_kirwan_point_piece_boxes_are_bounded(a2):
