@@ -27,7 +27,10 @@ model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
 expanded once, to the depth of the deepest of them, and each point takes the
 part within its own depth, shifted to its base point and signed.  The series
 is built one factor at a time, each factor a running sum along the strings
-of its weight, so every step costs what it outputs.
+of its weight, so every step costs what it outputs.  It depends only on the
+oriented weights and their pairings with xi, so it is kept on the root system
+as coordinates, in order of pairing, and later models of the group take a
+prefix of it; a deeper request expands it again in place of the old one.
 
 The per-fixed-point parity condition eta_p - sum_j alpha_pj in 2*Lambda is
 checked at construction: it is exactly what makes every exponent above land in
@@ -398,6 +401,44 @@ def _expand_series(oriented, pairs, depth: int, strides) -> tuple[np.ndarray, np
     return keys[order], drop[order], coef[order]
 
 
+def _unpack(keys, bounds, strides) -> np.ndarray:
+    """The coordinates, one row per key, of keys packed by ``_packing``.
+
+    Balanced mixed-radix decode: shift into nonnegative digits, then split
+    off one axis per divmod.
+    """
+    k = keys + sum(b * s for b, s in zip(bounds, strides))
+    coords = np.empty((len(keys), len(bounds)), dtype=np.int64)
+    for i, b in enumerate(bounds):
+        k, digit = np.divmod(k, 2 * b + 1)
+        coords[:, i] = digit - b
+    if np.any(k):
+        raise SpindexError("a packed key lies outside the expansion window")
+    return coords
+
+
+def _series(rs: RootSystem, oriented, pairs, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_expand_series`` to the depth, as coordinates of v, kept on the root system.
+
+    The series depends only on the oriented weights and their pairings with
+    xi, so every model of the group shares it.  It is kept at the deepest
+    depth asked for, read-only, and a shallower request takes a prefix.
+    """
+    key = ("series", oriented, pairs)
+    cached = rs.char_cache.get(key)
+    if cached is None or cached[0] < depth:
+        rs.char_cache.pop(key, None)  # never hold two versions of a series
+        bounds, strides = _packing([(0,) * rs.rank], [(oriented, pairs)], depth)
+        keys, drop, coef = _expand_series(oriented, pairs, depth, strides)
+        cached = (depth, _unpack(keys, bounds, strides), drop, coef)
+        for arr in cached[1:]:
+            arr.flags.writeable = False
+        rs.char_cache[key] = cached
+    _, coords, drop, coef = cached
+    m = int(np.searchsorted(drop, depth, side="right"))
+    return coords[:m], drop[:m], coef[:m]
+
+
 def _combine(keys, pair, coef):
     if len(keys) == 0:
         return keys, pair, coef
@@ -428,7 +469,7 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     groups: dict[tuple, list[_PointData]] = {}
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
-    pairs = {oriented: [_pair(a, xi_int) for a in oriented] for oriented in groups}
+    pairs = {oriented: tuple(_pair(a, xi_int) for a in oriented) for oriented in groups}
     floor, result_floor = _window(points, den)
     top = max(pd.base for pd in points)
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
@@ -436,7 +477,8 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     for oriented, members in groups.items():
         # floor < low, so every point has base > floor and at least one term
         deepest = max(pd.base for pd in members) - floor
-        vkeys, drop, vcoef = _expand_series(oriented, pairs[oriented], deepest, strides)
+        coords, drop, vcoef = _series(model.root_system, oriented, pairs[oriented], deepest)
+        vkeys = coords @ np.array(strides, dtype=np.int64)
         for pd in members:
             # the terms of pd with pairing >= floor are a prefix of the shared series
             m = int(np.searchsorted(drop, pd.base - floor, side="right"))
@@ -451,16 +493,11 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
         raise UnstableCutoff(
             f"the fixed points of model {model.name!r} do not sum to a finite character: "
             f"{int(unstable.sum())} terms below its support bound do not cancel")
-    # balanced mixed-radix decode: shift into nonnegative digits, then split
-    # off one axis per divmod; the keys are unique and the coefficients nonzero
-    k = keys + sum(b * s for b, s in zip(bounds, strides))
-    coords = []
-    for b in bounds:
-        k, digit = np.divmod(k, 2 * b + 1)
-        coords.append((digit - b).tolist())
-    if np.any(k):
-        raise SpindexError("a packed key lies outside the expansion window")
-    return VirtualCharacter._of(dict(zip(zip(*coords), coef.tolist())))
+    # the keys are unique and the coefficients nonzero; one list per axis, not
+    # per term, as per-term lists would double the allocations that trigger
+    # the cyclic garbage collector
+    coords = _unpack(keys, bounds, strides)
+    return VirtualCharacter._of(dict(zip(zip(*coords.T.tolist()), coef.tolist())))
 
 
 def _at(y: list[int], x) -> int:

@@ -259,7 +259,7 @@ class RootSystem:
         )
         self._face_cache: dict[frozenset[int], Face] = {}
         self._class_of: dict[Face, StabilizerClass] = {}
-        self.char_cache: dict = {}  # used by the character module
+        self.char_cache: dict = {}  # used by the character and localization modules
 
     # -- construction helpers -------------------------------------------------
 

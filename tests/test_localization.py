@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -44,9 +45,12 @@ from spindex.localization import (
     _localize,
     _packing,
     _pair,
+    _PointData,
     _predicted_terms,
     _scale_direction,
+    _series,
     _tangent_set,
+    _window,
 )
 from spindex.weights import weight, wscale
 
@@ -355,7 +359,10 @@ def test_grouped_series_match_the_per_point_expansion():
         su3_flag_bundle(40, 0),
     ]
     for model in models:
-        assert localized_index(model) == _per_point_localize(model), model.name
+        want = _per_point_localize(model)
+        cold = replace(model, root_system=build_root_system(model.root_system.label))
+        assert localized_index(cold) == want, model.name
+        assert localized_index(cold) == want, model.name  # now on a warm cache
 
 
 def _product_series(oriented, pairs, depth, strides):
@@ -423,6 +430,140 @@ def test_series_coefficients_stay_within_the_int64_budget():
     assert int(_expand_series(oriented, pairs, 3000, strides)[2].max()) == math.comb(3004, 4)
     with pytest.raises(SpindexError, match="int64 budget"):
         _expand_series(oriented, pairs, 10 ** 4, strides)
+
+
+def _by_key(keys, drop, coef):
+    order = np.argsort(keys, kind="stable")
+    return keys[order].tolist(), drop[order].tolist(), coef[order].tolist()
+
+
+def test_kept_series_match_the_expansion_after_and_before_a_deeper_fill():
+    for oriented, xi in _oriented_cases():
+        pairs = tuple(_pair(a, xi) for a in oriented)
+        deep = 3 * max(pairs) + 41
+        for depth in (0, max(pairs), 3 * max(pairs) + 1, 40):
+            _, strides = _packing([(0,) * len(xi)], [(oriented, pairs)], depth)
+            want = _by_key(*_expand_series(oriented, pairs, depth, strides))
+            assert want == _by_key(*_product_series(oriented, pairs, depth, strides))
+            after, before = (build_root_system(f"A{len(xi)}") for _ in range(2))
+            _series(after, oriented, pairs, deep)
+            got = [_series(after, oriented, pairs, depth), _series(before, oriented, pairs, depth)]
+            _series(before, oriented, pairs, deep)
+            got.append(_series(before, oriented, pairs, depth))
+            for coords, drop, coef in got:
+                assert np.all(np.diff(drop) >= 0), (oriented, depth)
+                keys = coords @ np.array(strides, dtype=np.int64)
+                assert _by_key(keys, drop, coef) == want, (oriented, xi, depth)
+
+
+def test_a_deeper_request_replaces_the_kept_series(monkeypatch):
+    import spindex.localization as loc
+
+    rs = build_root_system("G2")
+    oriented = ((-3, 2), (0, 1), (3, -1))  # G2's long positive roots
+    pairs = tuple(_pair(a, rs._height_fun) for a in oriented)
+    key = ("series", oriented, pairs)
+    expand, calls = loc._expand_series, []
+
+    def counting(oriented, pairs, depth, strides):
+        assert key not in rs.char_cache  # the old version is gone before the new one is built
+        calls.append(depth)
+        return expand(oriented, pairs, depth, strides)
+
+    monkeypatch.setattr(loc, "_expand_series", counting)
+    sizes = []
+    for depth in (20, 20, 7, 0, 45, 30, 45):
+        sizes.append(len(_series(rs, oriented, pairs, depth)[0]))
+        assert [k for k in rs.char_cache if k[0] == "series"] == [key]
+    assert calls == [20, 45]
+    assert rs.char_cache[key][0] == 45
+    assert sizes[0] == sizes[1] > sizes[2] > sizes[3] == 1
+    assert sizes[4] == sizes[6] > sizes[5] > sizes[0]
+
+
+def test_kept_series_are_read_only():
+    rs = build_root_system("A2")
+    oriented, pairs = ((0, 1), (1, 1), (2, -1)), (1, 2, 1)
+    kept = _series(rs, oriented, pairs, 9)
+    for arrays in (kept, rs.char_cache[("series", oriented, pairs)][1:]):
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+
+
+def test_the_vertex_orbit_keeps_an_empty_series():
+    rs = build_root_system("A2")
+    model = orbit_model(rs, weight([0, 0]))
+    assert model.fixed_points[0].tangent_weights == ()
+    for _ in range(2):  # cold, then warm
+        assert localized_index(model) == VirtualCharacter.monomial(weight([0, 0]))
+    depth, coords, drop, coef = rs.char_cache[("series", (), ())]
+    assert coords.tolist() == [[0, 0]] and drop.tolist() == [0] and coef.tolist() == [1]
+
+
+def _orbit_pool(label, top):
+    rs = build_root_system(label)
+    return rs, [orbit.mu for face in all_faces(rs)
+                for orbit in admissible_orbits_on_face(face, (Q(0), Q(top)), rs)]
+
+
+def _nudged(model):
+    """Every generic integral nudge h + k e_i of h for the model."""
+    tangents = _tangent_set(model)
+    return [xi for xi in map(weight, _integral_candidates(model.root_system)[1:])
+            if _is_generic(xi, tangents)]
+
+
+def test_orbit_grid_pool_is_independent_of_the_direction():
+    # one root system per group, so series kept along one direction meet the
+    # same oriented sets along another and must not be mistaken for them
+    localized = 0
+    for label in ("A1", "A2", "A3", "B2", "G2"):
+        rs, mus = _orbit_pool(label, 4)
+        for mu in mus:
+            model = orbit_model(rs, mu)
+            chi = localized_index(model)
+            for xi in _nudged(model):
+                assert _localize(model, xi) == chi, (model.name, xi)
+                localized += 1
+    assert localized == 568
+
+
+def test_su3_pool_is_independent_of_the_direction():
+    localized = 0
+    for a in range(0, 41, 4):
+        for b in range(0, 41, 4):
+            model = su3_flag_bundle(a, b)
+            chi = localized_index(model)
+            for xi in _nudged(model):
+                assert _localize(model, xi) == chi, (model.name, xi)
+                localized += 1
+    assert localized == 242
+
+
+def _depth(model):
+    """The deepest series depth the model asks for along its direction."""
+    xi_int, den = _scale_direction(_direction(model))
+    points = [_PointData(fp, xi_int) for fp in model.fixed_points]
+    floor, _ = _window(points, den)
+    return max(pd.base for pd in points) - floor
+
+
+@pytest.mark.parametrize("label", ["A3", "A2"])
+def test_cold_and_warm_caches_agree_in_either_depth_order(label):
+    if label == "A3":
+        _, mus = _orbit_pool("A3", 4)
+        models = [orbit_model(build_root_system("A3"), mu) for mu in mus]
+    else:
+        models = [su3_flag_bundle(a, b) for a in range(0, 41, 10) for b in range(0, 41, 10)]
+    models.sort(key=_depth)
+    assert _depth(models[0]) < _depth(models[-1])
+    cold = [localized_index(replace(m, root_system=build_root_system(label))) for m in models]
+    for order in (models, models[::-1]):
+        warm = build_root_system(label)
+        got = {m.name: localized_index(replace(m, root_system=warm)) for m in order}
+        assert [got[m.name] for m in models] == cold
+    assert len(models) == (125 if label == "A3" else 25)
 
 
 def test_unstable_cutoff_raises():
