@@ -8,7 +8,9 @@ irreducibles runs two independent algorithms - antisymmetrization and peeling
 - whose agreement is enforced on every call.  Both run on the dominant
 chamber after the invariance check: a Weyl-invariant character is determined
 by its dominant weights, and the multiplicities are the strictly dominant
-coefficients of chi * A_rho.
+coefficients of chi * A_rho.  The three steps run as builtin passes over one
+coordinate column per axis, not term by term; antisymmetrization gathers each
+multiplicity by lookups instead of scattering the products.
 
 Characters are indexed by infinitesimal character: ``pi(lam)`` has highest
 weight ``lam - rho``.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import add, gt
+from itertools import compress, repeat
+from operator import add, and_, gt, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -49,28 +52,30 @@ def _as_int(x) -> int:
     return f.numerator
 
 
+def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
+    """Coefficients summed per weight, zeros dropped, keys as integer tuples."""
+    acc: dict[tuple[int, ...], int] = {}
+    for w, c in terms.items() if isinstance(terms, Mapping) else terms:
+        # integer tuples hash like the Fraction form and keep hot loops on machine integers
+        try:
+            w = tuple(_as_int(x) for x in w)
+        except ValueError:
+            raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight") from None
+        c = int(c)
+        if c:
+            acc[w] = acc.get(w, 0) + c
+            if acc[w] == 0:
+                del acc[w]
+    return acc
+
+
 class VirtualCharacter:
     """Finite integer-coefficient formal sum of lattice weights."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int] = {}
-        for w, c in items:
-            # store integer tuples: they hash and compare equal to the
-            # Fraction form, and keep the hot loops on machine integers
-            try:
-                w = tuple(_as_int(x) for x in w)
-            except ValueError:
-                raise NotInShiftedLattice(
-                    f"character weight {tuple(w)} is not a lattice weight") from None
-            c = int(c)
-            if c:
-                acc[w] = acc.get(w, 0) + c
-                if acc[w] == 0:
-                    del acc[w]
-        self._terms = acc
+        self._terms = _lattice_terms(terms, "character weight")
 
     @classmethod
     def zero(cls) -> "VirtualCharacter":
@@ -139,21 +144,8 @@ class VirtualCharacter:
     __rmul__ = __mul__
 
     def is_weyl_invariant(self, rs: RootSystem) -> bool:
-        """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w).
-
-        s_i swaps the weights with w_i > 0 and those with w_i < 0, so it is
-        enough that both sides hold as many terms and that c(s_i w) = c(w) on
-        the first.
-        """
-        terms = self._terms
-        for i in range(rs.rank):
-            up = [(w, c) for w, c in terms.items() if w[i] > 0]
-            if len(up) != sum(1 for w in terms if w[i] < 0):
-                return False
-            for w, c in up:
-                if terms.get(rs.reflect(i, w)) != c:
-                    return False
-        return True
+        """Whether every simple reflection s_i keeps each coefficient: c(s_i w) = c(w)."""
+        return _is_invariant(self._terms, rs, _columns(self._terms, rs.rank))
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -178,21 +170,7 @@ class Decomposition:
     __slots__ = ("_mult",)
 
     def __init__(self, mult: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
-        items = mult.items() if isinstance(mult, Mapping) else mult
-        acc: dict[tuple[int, ...], int] = {}
-        for lam, m in items:
-            # integer tuples, as in VirtualCharacter
-            try:
-                lam = tuple(_as_int(x) for x in lam)
-            except ValueError:
-                raise NotInShiftedLattice(
-                    f"infinitesimal character {tuple(lam)} is not a lattice weight") from None
-            m = int(m)
-            if m:
-                acc[lam] = acc.get(lam, 0) + m
-                if acc[lam] == 0:
-                    del acc[lam]
-        self._mult = acc
+        self._mult = _lattice_terms(mult, "infinitesimal character")
 
     def multiplicities(self) -> dict[Weight, int]:
         return dict(self._mult)
@@ -217,10 +195,11 @@ class Decomposition:
 
     def reconstruct(self, rs: RootSystem) -> VirtualCharacter:
         """Sum of m_lam * chi_lam; exact inverse of decompose."""
-        total = VirtualCharacter.zero()
+        acc: dict[tuple[int, ...], int] = {}
         for lam, m in self._mult.items():
-            total = total + m * weyl_character(lam, rs)
-        return total
+            for w, c in weyl_character(lam, rs)._terms.items():
+                acc[w] = acc.get(w, 0) + m * c
+        return VirtualCharacter._of({w: c for w, c in acc.items() if c})
 
     def to_json_obj(self, rs: RootSystem) -> list[dict]:
         return [
@@ -323,12 +302,6 @@ def dimension(lam: Weight, rs: RootSystem) -> int:
     return int(num)
 
 
-def _heap_entry(w: tuple[int, ...], rs: RootSystem) -> tuple:
-    # heapq pops its least entry, so negate height_key's (height, lex) order
-    ht, _ = rs.height_key(w)
-    return -ht, tuple(-x for x in w), w
-
-
 def _dominant_part(lam: tuple[int, ...], rs: RootSystem) -> dict[tuple[int, ...], int]:
     """Dominant weights of chi_lam with their multiplicities; cached per root system."""
     cached = rs.char_cache.get(("dominant", lam))
@@ -338,24 +311,64 @@ def _dominant_part(lam: tuple[int, ...], rs: RootSystem) -> dict[tuple[int, ...]
     return cached
 
 
-def _peel(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
+def _columns(terms: Iterable[tuple[int, ...]], rank: int) -> list[list[int]]:
+    """Coordinate i of every key, in key order, for each axis i."""
+    return [list(map(itemgetter(i), terms)) for i in range(rank)]
+
+
+def _above(cols: list[list[int]], floor: Iterable[int]) -> list[bool]:
+    """Per row, whether every coordinate lies strictly above its axis's floor."""
+    keep = repeat(True)
+    for col, f in zip(cols, floor):
+        keep = map(and_, keep, map(gt, col, repeat(f)))
+    return list(keep)
+
+
+def _is_invariant(terms: dict, rs: RootSystem, cols: list[list[int]]) -> bool:
+    """c(s_i w) = c(w) on the whole support, for every simple reflection s_i.
+
+    s_i(w) = w - w_i alpha_i moves only the axes in the support of alpha_i;
+    the image columns share the others with ``cols``."""
+    values = list(terms.values())
+    for i, support in enumerate(rs._alpha_support):
+        image = cols[:]
+        for r, a in support:
+            # column r less a times column i; a = 2 on the diagonal, often -1 off it
+            image[r] = (map(neg, cols[i]) if r == i else map(add, cols[r], cols[i]) if a == -1
+                        else map(sub, cols[r], map(mul, cols[i], repeat(a))))
+        if list(map(terms.get, zip(*image))) != values:
+            return False
+    return True
+
+
+def _peel(chi: VirtualCharacter, rs: RootSystem, cols: list | None = None) -> dict[Weight, int]:
     """Decompose by repeatedly subtracting the top irreducible.
 
-    The leading weight is the maximal support weight under the (coroot
-    height, lex) order; height makes the dominant member of each Weyl orbit
-    maximal, which literal lex alone does not.  The top of the full support is
-    tested once.  After that only dominant weights are kept and subtracted,
-    which is exact for a Weyl-invariant chi because every chi_lam is
-    Weyl-invariant too: a heap holds the remaining dominant weights, and a
-    weight that a subtraction brings back is pushed again.
+    The leading weight is the maximal support weight in ``height_key``'s
+    (coroot height, lex) order, which makes the dominant member of each Weyl
+    orbit maximal.  Then only dominant weights are kept and subtracted, which
+    is exact for a Weyl-invariant chi since every chi_lam is invariant too: a
+    heap holds them, and a weight that a subtraction brings back is pushed again.
     """
-    if chi:
-        top = max(chi._terms, key=rs.height_key)
-        if min(top) < 0:
-            raise NonDominantLeadingTerm(
-                f"leading weight {top} is not dominant; not a character of the group")
-    rem = {w: c for w, c in chi._terms.items() if min(w) >= 0}
-    heap = [_heap_entry(w, rs) for w in rem]
+    terms = chi._terms
+    if not terms:
+        return {}
+    cols = cols or _columns(terms, rs.rank)
+    heights = repeat(0)
+    for f, col in zip(rs._height_fun, cols):
+        heights = map(add, heights, map(mul, col, repeat(f)))
+    heights = list(heights)
+    top = max(zip(heights, terms))[1]
+    # Only a direct call can fail here: after the invariance check, top_i < 0 would put
+    # s_i(top) = top - top_i alpha_i, of height ht(top) - 2 top_i, in the support.
+    if min(top) < 0:
+        raise NonDominantLeadingTerm(
+            f"leading weight {top} is not dominant; not a character of the group")
+    dominant = _above(cols, repeat(-1))
+    rem = dict(compress(terms.items(), dominant))
+    # heapq pops its least entry, so negate height_key's (height, lex) order
+    heap = list(zip(map(neg, compress(heights, dominant)),
+                    zip(*[map(neg, compress(col, dominant)) for col in cols]), rem))
     heapq.heapify(heap)
     out: dict[Weight, int] = {}
     while heap:
@@ -371,43 +384,50 @@ def _peel(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
                 del rem[w]
                 continue
             if w not in rem:
-                heapq.heappush(heap, _heap_entry(w, rs))
+                heapq.heappush(heap, (-rs.height_key(w)[0], tuple(map(neg, w)), w))
             rem[w] = left
     return out
 
 
-def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem) -> dict[Weight, int]:
+def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem, cols: list | None = None) -> dict:
     """Multiplicities read off the strictly dominant part of chi * A_rho.
 
-    Only the products t^{v + d} that land strictly dominant are added up,
-    with d running over the rho orbit; so a weight v of chi can contribute
-    only when v_i > -max_d d_i on every axis.
+    Gathered rather than scattered: the candidates lam are the strictly dominant
+    v + d reached from a weight v of chi and a d in the rho orbit, and each
+    m_lam = sum_d sign(d) c(lam - d) adds up one ``terms.get`` pass per d.
     """
+    terms = chi._terms
+    cols = cols or _columns(terms, rs.rank)
     denominator = weyl_denominator(rs)._terms
-    floor = [-max(d[i] for d in denominator) for i in range(rs.rank)]
-    near = [(v, c) for v, c in chi._terms.items() if all(map(gt, v, floor))]
-    acc: dict[Weight, int] = {}
+    # v + d is strictly dominant when v_i > -d_i on every axis
+    near = _above(cols, [-max(d[i] for d in denominator) for i in range(rs.rank)])
+    cols = [list(compress(col, near)) for col in cols]
+    reached: set[tuple[int, ...]] = set()
+    for d in denominator:
+        hit = _above(cols, map(neg, d))
+        reached.update(zip(*[map(add, compress(col, hit), repeat(x)) for col, x in zip(cols, d)]))
+    lams = list(reached)
+    lcols = _columns(lams, rs.rank)
+    mult = [0] * len(lams)
     for d, s in denominator.items():
-        for v, c in near:
-            x = tuple(map(add, v, d))
-            if min(x) > 0:
-                acc[x] = acc.get(x, 0) + s * c
-    return {x: m for x, m in acc.items() if m}
+        found = zip(*[map(sub, col, repeat(x)) for col, x in zip(lcols, d)])
+        mult = list(map(add if s > 0 else sub, mult, map(terms.get, found, repeat(0))))
+    return dict(compress(zip(lams, mult), mult))
 
 
 def decompose(chi: VirtualCharacter, rs: RootSystem) -> Decomposition:
     """Decompose a Weyl-invariant virtual character into irreducibles.
 
-    Checks invariance under the simple reflections, then runs
-    antisymmetrization and peeling on the dominant chamber independently and
-    insists they agree; a disagreement is a bug signal, never silently
-    resolved.
+    Splits the weights into coordinate columns once, checks invariance under
+    the simple reflections on them, then runs peeling and the gathered
+    antisymmetrization on the dominant chamber independently and insists they
+    agree; a disagreement is a bug signal, never silently resolved.
     """
-    if not chi.is_weyl_invariant(rs):
+    cols = _columns(chi._terms, rs.rank)
+    if not _is_invariant(chi._terms, rs, cols):
         raise NotWeylInvariant("input character is not Weyl-invariant")
-    by_peeling = _peel(chi, rs)
-    by_antisym = _antisymmetrize(chi, rs)
+    by_peeling = _peel(chi, rs, cols)
+    by_antisym = _antisymmetrize(chi, rs, cols)
     if by_peeling != by_antisym:
-        raise MethodMismatch(
-            f"peeling gave {by_peeling} but antisymmetrization gave {by_antisym}")
+        raise MethodMismatch(f"peeling gave {by_peeling} but antisymmetrization gave {by_antisym}")
     return Decomposition(by_peeling)
