@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import compress, repeat
+from math import prod
 from operator import add, and_, gt, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping
 
@@ -35,21 +36,13 @@ from .roots import RootSystem, _orbit
 from .weights import (
     Weight,
     format_weight,
-    is_integral,
     is_strictly_dominant,
+    lattice_point,
+    weight,
     weight_from_json,
     weight_to_json,
     wsub,
 )
-
-
-def _as_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return f.numerator
 
 
 def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
@@ -58,14 +51,16 @@ def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
     for w, c in terms.items() if isinstance(terms, Mapping) else terms:
         # integer tuples hash like the Fraction form and keep hot loops on machine integers
         try:
-            w = tuple(_as_int(x) for x in w)
-        except ValueError:
-            raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight") from None
+            p = lattice_point(w)
+        except ValueError:  # a coordinate that is not a number
+            p = None
+        if p is None:
+            raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight")
         c = int(c)
         if c:
-            acc[w] = acc.get(w, 0) + c
-            if acc[w] == 0:
-                del acc[w]
+            acc[p] = acc.get(p, 0) + c
+            if acc[p] == 0:
+                del acc[p]
     return acc
 
 
@@ -96,7 +91,7 @@ class VirtualCharacter:
         return dict(self._terms)
 
     def coefficient(self, w: Weight) -> int:
-        return self._terms.get(tuple(Fraction(x) for x in w), 0)
+        return self._terms.get(lattice_point(w), 0)
 
     def support(self) -> list[Weight]:
         return sorted(self._terms)
@@ -176,7 +171,7 @@ class Decomposition:
         return dict(self._mult)
 
     def multiplicity(self, lam: Weight) -> int:
-        return self._mult.get(tuple(Fraction(x) for x in lam), 0)
+        return self._mult.get(lattice_point(lam), 0)
 
     def items_sorted(self) -> list[tuple[Weight, int]]:
         return sorted(self._mult.items())
@@ -219,13 +214,13 @@ class Decomposition:
         return "Decomposition(" + " + ".join(parts) + ")"
 
 
-def _require_infinitesimal_character(lam: Weight, rs: RootSystem) -> Weight:
-    lam = tuple(Fraction(x) for x in lam)
-    if not is_integral(lam):
-        raise NotInShiftedLattice(f"{lam} has non-integer coordinates")
-    if not is_strictly_dominant(lam):
-        raise NotRegularDominant(f"{lam} is not strictly dominant")
-    return lam
+def _require_infinitesimal_character(lam: Weight, rs: RootSystem) -> tuple[int, ...]:
+    point = lattice_point(lam)
+    if point is None:
+        raise NotInShiftedLattice(f"{weight(lam)} has non-integer coordinates")
+    if not is_strictly_dominant(point):
+        raise NotRegularDominant(f"{weight(point)} is not strictly dominant")
+    return point
 
 
 def weyl_denominator(rs: RootSystem) -> VirtualCharacter:
@@ -241,7 +236,7 @@ def _alternating_sum(lam: Weight, rs: RootSystem) -> VirtualCharacter:
     """sum_w sign(w) t^{w lam} for a regular lam: its orbit is free, and sign(w)
     is the parity of the depth of w(lam) in the walk."""
     sign: dict[Weight, int] = {}
-    for x, (parent, _) in _orbit(rs, tuple(_as_int(c) for c in lam)).items():
+    for x, (parent, _) in _orbit(rs, lam).items():
         sign[x] = 1 if parent is None else -sign[parent]
     return VirtualCharacter(sign)
 
@@ -285,8 +280,9 @@ def weyl_character(lam: Weight, rs: RootSystem) -> VirtualCharacter:
     if cached is None:
         terms = _alternating_sum(lam, rs)._terms
         for beta in rs.positive_roots:
-            terms = divide_by_binomial(terms, tuple(_as_int(c) for c in beta))
-        cached = VirtualCharacter((wsub(w, rs.rho), c) for w, c in terms.items())
+            terms = divide_by_binomial(terms, beta)
+        # w - rho with rho = (1, ..., 1): a shift, so the keys stay distinct
+        cached = VirtualCharacter._of({tuple(x - 1 for x in w): c for w, c in terms.items()})
         rs.char_cache[("chi", lam)] = cached
     return cached
 
@@ -294,12 +290,13 @@ def weyl_character(lam: Weight, rs: RootSystem) -> VirtualCharacter:
 def dimension(lam: Weight, rs: RootSystem) -> int:
     """Dimension of pi(lam) by the quotient-of-pairings product formula."""
     lam = _require_infinitesimal_character(lam, rs)
-    num = Fraction(1)
-    for beta in rs.positive_roots:
-        num *= rs.coroot_pairing(lam, beta) / rs.coroot_pairing(rs.rho, beta)
-    if num.denominator != 1 or num <= 0:
-        raise MethodMismatch(f"the dimension formula gives {num} at ({format_weight(lam)})")
-    return int(num)
+    num = prod(rs.coroot_pairing(lam, beta) for beta in rs.positive_roots)
+    den = prod(rs.coroot_pairing(rs.rho, beta) for beta in rs.positive_roots)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise MethodMismatch(
+            f"the dimension formula gives {Fraction(num, den)} at ({format_weight(lam)})")
+    return dim
 
 
 def _dominant_part(lam: tuple[int, ...], rs: RootSystem) -> dict[tuple[int, ...], int]:

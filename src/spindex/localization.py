@@ -74,7 +74,7 @@ from .weights import (
     Weight,
     format_weight,
     is_dominant,
-    is_integral,
+    lattice_point,
     wadd,
     weight,
     weight_from_json,
@@ -110,11 +110,11 @@ class FixedPointDatum:
     tangent_weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        det = _lattice_point(self.det_weight)
+        det = lattice_point(self.det_weight)
         if det is None:
             raise ParityViolation(
                 f"fixed point {self.label!r}: determinant weight must be integral")
-        tangents = tuple(map(_lattice_point, self.tangent_weights))
+        tangents = tuple(map(lattice_point, self.tangent_weights))
         for a, t in zip(self.tangent_weights, tangents):
             if t is None:
                 raise ParityViolation(
@@ -130,15 +130,6 @@ class FixedPointDatum:
                 f"has this determinant")
         object.__setattr__(self, "det_weight", det)
         object.__setattr__(self, "tangent_weights", tangents)
-
-
-def _lattice_point(coords) -> tuple[int, ...] | None:
-    """The coordinates as an int tuple, or None when one is not an integer."""
-    w = tuple(coords)
-    if all(type(c) is int for c in w):
-        return w
-    w = weight(w)
-    return tuple(c.numerator for c in w) if is_integral(w) else None
 
 
 def _less_sum(w: tuple[int, ...], ws) -> tuple[int, ...]:
@@ -502,7 +493,7 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
 
 def _at(y: list[int], x) -> int:
     """t^{x/2} at the point y of the torus over F_p: prod_i y_i^{x_i}."""
-    return math.prod(pow(yi, int(xi), _PRIME) for yi, xi in zip(y, x)) % _PRIME
+    return math.prod(pow(yi, xi, _PRIME) for yi, xi in zip(y, x)) % _PRIME
 
 
 def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
@@ -551,10 +542,10 @@ def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
         raise NotAdmissible(f"orbit through ({format_weight(mu)}) is not admissible")
     sigma = face_of(mu, rs)
     levi = set(sigma.levi_positive_roots)
-    moving = [tuple(int(c) for c in beta) for beta in rs.positive_roots if beta not in levi]
+    moving = tuple(beta for beta in rs.positive_roots if beta not in levi)
     tangents: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for image, (parent, i) in _orbit(rs, tuple(int(2 * c) for c in mu)).items():
-        tangents[image] = (tuple(moving) if parent is None
+        tangents[image] = (moving if parent is None
                            else tuple(rs.reflect(i, beta) for beta in tangents[parent]))
     return ManifoldModel(
         root_system=rs,
@@ -747,10 +738,12 @@ def kirwan_admissible_orbits(kirwan: KirwanSet, face: Face, rs: RootSystem) -> l
     """Admissible orbits whose representative lies in rel-int(face) and in the Kirwan set.
 
     Sorted by representative; point pieces filter their bounding box by hull membership.
+    A segment from 0 also meets the vertex face, at the origin.
     """
     found: dict[Weight, CoadjointOrbit] = {}
     for piece in kirwan.pieces:
-        if piece.segments and piece.face == face:
+        if piece.face == face or (not face.free_coordinates
+                                  and any(lo == 0 for lo, _ in piece.segments)):
             for lo, hi in piece.segments:
                 for orbit in admissible_orbits_on_face(face, (lo, hi), rs):
                     found[orbit.mu] = orbit

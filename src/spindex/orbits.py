@@ -26,7 +26,6 @@ from .weights import (
     Weight,
     format_weight,
     is_dominant,
-    is_integral,
     wsub,
 )
 
@@ -116,8 +115,8 @@ def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     low = min(shifted)
     if not (low > 0 if low >= 0 else is_regular(shifted, rs)):
         return OrbitIndex.zero()
-    # a regular shift of an admissible point is dominant and integral
-    if not (is_dominant(shifted) and is_integral(shifted)):
+    # a regular shift of an admissible point is dominant; // made it integral
+    if not is_dominant(shifted):
         raise NotAdmissible(f"orbit {orbit.label()} shifts to ({format_weight(shifted)}), "
                             f"which is not a dominant lattice weight")
     return OrbitIndex.irreducible(shifted)

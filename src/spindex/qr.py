@@ -37,8 +37,8 @@ from .roots import Face, RootSystem, face_from_vanishing_set, stabilizer_class_o
 from .weights import (
     Weight,
     format_weight,
-    is_integral,
     is_strictly_dominant,
+    lattice_point,
     weight,
     weight_from_json,
     weight_to_json,
@@ -182,7 +182,7 @@ def multiplicity(model: ManifoldModel, lam: Weight, provider) -> int:
     lam = weight(lam)
     rs = model.root_system
     rs.check_rank(lam, "multiplicity")
-    if not (is_integral(lam) and is_strictly_dominant(lam)):
+    if lattice_point(lam) is None or not is_strictly_dominant(lam):
         raise NotRegularDominant(f"multiplicity is indexed by strictly dominant "
                                  f"lattice weights, got {format_weight(lam)}")
     total = 0

@@ -1,11 +1,14 @@
 """Root systems, Weyl groups, chamber faces, and Levi combinatorics.
 
-Everything is driven by a finite-type Cartan matrix over exact integer and
-rational arithmetic.  The convention throughout: ``cartan[i][j]`` is the
-pairing of the j-th simple root against the i-th simple coroot, so column j of
-the Cartan matrix holds the fundamental-weight coordinates of alpha_j.  A
-weight is dominant iff its coordinates are nonnegative, and the pairing with
-the i-th simple coroot is coordinate i.
+Everything is driven by a finite-type Cartan matrix.  The convention
+throughout: ``cartan[i][j]`` is the pairing of the j-th simple root against the
+i-th simple coroot, so column j of the Cartan matrix holds the
+fundamental-weight coordinates of alpha_j.  A weight is dominant iff its
+coordinates are nonnegative, and the pairing with the i-th simple coroot is
+coordinate i.  Simple roots, positive roots and rho = (1, ..., 1) are int
+tuples walked on machine integers; ``Fraction`` is left to the Cartan
+validation, to ``Face.rho_sigma``, which lies in Lambda / 2, and to the
+rational points a caller passes in.
 
 The Weyl group acts only by simple reflections on coordinates
 (``RootSystem.reflect``); no group element is ever formed, as a matrix or
@@ -24,11 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import mul
 
 from .errors import NotDominant, SpindexError, UnknownType, WeylGroupTooLarge
-from .weights import Weight, is_dominant, wadd, weight, wscale, zero_weight
+from .weights import Weight, is_dominant, weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -236,8 +239,7 @@ class RootSystem:
         self.rank = len(cartan)
         self.cartan_matrix: IntMatrix = tuple(tuple(row) for row in cartan)
         self.simple_roots: tuple[Weight, ...] = tuple(
-            weight(self.cartan_matrix[i][j] for i in range(self.rank)) for j in range(self.rank)
-        )
+            tuple(map(int, col)) for col in zip(*self.cartan_matrix))
         # the nonzero coordinates (r, alpha_i[r]) of each simple root, for reflect
         self._alpha_support = tuple(
             tuple((r, row[i]) for r, row in enumerate(self.cartan_matrix) if row[i])
@@ -249,10 +251,9 @@ class RootSystem:
         # simple roots (1-based) with a nonzero coefficient in each positive root
         self._root_support = {
             beta: frozenset(i + 1 for i, c in enumerate(k) if c) for beta, (k, _) in data.items()}
-        self.rho: Weight = wscale(Fraction(1, 2),
-                                  reduce(wadd, self.positive_roots, zero_weight(self.rank)))
-        if self.rho != weight([1] * self.rank):
+        if any(sum(col) != 2 for col in zip(*self.positive_roots)):
             raise UnknownType("the positive roots do not sum to 2 rho = (2, ..., 2)")
+        self.rho: Weight = (1,) * self.rank
         # 2 rho-check functional: positive on the open chamber, Weyl-orbit maxima dominant
         self._height_fun = tuple(
             sum(f[i] for f in self._coroot_funs.values()) for i in range(self.rank)
@@ -283,7 +284,7 @@ class RootSystem:
                     continue
                 k, f = carried[parent]
                 drop = sum(f[r] * self.cartan_matrix[r][j] for r in range(self.rank))
-                carried[beta] = (k[:j] + (k[j] - int(parent[j]),) + k[j + 1:],
+                carried[beta] = (k[:j] + (k[j] - parent[j],) + k[j + 1:],
                                  f[:j] + (f[j] - drop,) + f[j + 1:])
             data.update((beta, kf) for beta, kf in carried.items() if min(kf[0]) >= 0)
         return data
@@ -303,10 +304,9 @@ class RootSystem:
             y[r] -= x[i] * a
         return tuple(y)
 
-    def coroot_pairing(self, lam: Weight, beta: Weight) -> Fraction:
-        """Pairing of a weight with the coroot of a positive root."""
-        fun = self._coroot_funs[beta]
-        return sum((Fraction(fun[i]) * lam[i] for i in range(self.rank)), Fraction(0))
+    def coroot_pairing(self, lam: Weight, beta: Weight) -> Fraction | int:
+        """Pairing of a weight with the coroot of a positive root, in lam's coordinate type."""
+        return sum(map(mul, self._coroot_funs[beta], lam))
 
     def weyl_order(self) -> int:
         """|W|, the size of the free orbit of rho."""
@@ -378,7 +378,7 @@ def face_from_vanishing_set(vanishing: frozenset[int], rs: RootSystem) -> Face:
     if cached is not None:
         return cached
     levi = tuple(beta for beta in rs.positive_roots if rs._root_support[beta] <= vanishing)
-    rho_sigma = wscale(Fraction(1, 2), reduce(wadd, levi, zero_weight(rs.rank)))
+    rho_sigma = tuple(Fraction(sum(beta[i] for beta in levi), 2) for i in range(rs.rank))
     f = Face(vanishing, rho_sigma, levi)
     rs._face_cache[vanishing] = f
     return f

@@ -1,10 +1,13 @@
-"""Weights as exact rational coordinate vectors.
+"""Weights as exact coordinate vectors.
 
-A weight is a plain ``tuple`` of ``Fraction`` in the fundamental-weight basis
+A weight is a plain ``tuple`` in the fundamental-weight basis
 (omega_1, ..., omega_r).  With this convention the pairing of a weight with the
 i-th simple coroot is just its i-th coordinate, so dominance and admissibility
-tests are coordinate-local.  Tuples give hashability and value equality for
-free; every function here returns normalized tuples.
+tests are coordinate-local.  Lattice data (roots, rho, character weights,
+infinitesimal characters, fixed-point data) are ``int`` tuples, which compare
+and hash equal to their ``Fraction`` form and print the same; ``lattice_point``
+alone decides whether coordinates are a lattice point.  ``Fraction`` tuples
+remain for points of Lambda / 2 (mu, rho_sigma, moments) and declared rationals.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Weight = tuple[Fraction, ...]
+Weight = tuple[Fraction | int, ...]
 
 
 def weight(coords: Iterable[Fraction | int | str]) -> Weight:
@@ -50,17 +53,21 @@ def wscale(c: Fraction | int, a: Weight) -> Weight:
     return tuple(c * x for x in a)
 
 
-def is_integral(w: Weight) -> bool:
-    """True when the weight lies in the weight lattice (all integer coordinates)."""
-    return all(c.denominator == 1 for c in w)
-
-
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 
 
 def is_strictly_dominant(w: Weight) -> bool:
     return all(c > 0 for c in w)
+
+
+def lattice_point(coords: Iterable[Fraction | int | str]) -> tuple[int, ...] | None:
+    """The coordinates as an int tuple, or None when one is not an integer."""
+    w = tuple(coords)
+    if all(type(c) is int for c in w):
+        return w
+    w = weight(w)
+    return tuple(c.numerator for c in w) if all(c.denominator == 1 for c in w) else None
 
 
 def zero_weight(rank: int) -> Weight:

@@ -67,6 +67,13 @@ def test_character_weights_must_be_integral():
         Decomposition({weight([Q(3, 2), 1]): 1})
 
 
+def test_coordinates_that_are_not_numbers_are_not_lattice_weights():
+    with pytest.raises(NotInShiftedLattice):
+        VirtualCharacter({("x",): 1})
+    with pytest.raises(NotInShiftedLattice):
+        Decomposition([((float("nan"), 1), 1)])
+
+
 def test_decomposition_keys_are_machine_integers():
     dec = Decomposition({weight([2, 1]): 1, ("1", "1"): 2})
     assert all(type(c) is int for lam in dec.multiplicities() for c in lam)
@@ -304,3 +311,17 @@ def test_alternating_sum_matches_the_full_weyl_group(label):
         expected = VirtualCharacter([(w(lam), w.sign) for w in weyl_group(rs)])
         assert _alternating_sum(lam, rs) == expected
         assert len(expected.terms()) == rs.weyl_order()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A2xA1"])
+def test_characters_and_dimensions_of_fraction_input_are_int_valued(label):
+    rs = build_root_system(label)
+    lams = [weight([1] * rs.rank), weight([2] + [1] * (rs.rank - 1)), weight(range(1, rs.rank + 1))]
+    for lam in lams:
+        chi = weyl_character(lam, rs)
+        dim = dimension(lam, rs)
+        assert type(dim) is int and dim == sum(chi.terms().values())
+        assert all(type(c) is int for w in chi.terms() for c in w)
+    keys = [key[1] for key in rs.char_cache if key[0] == "chi"]
+    assert set(keys) == set(lams)
+    assert all(type(c) is int for lam in keys for c in lam)

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -80,6 +82,39 @@ def test_export_model_round_trip(capsys, tmp_path):
     assert code == 0
     code, out_builder, _ = run(capsys, "index", "--model", "su3-flag-bundle",
                                "--a", "1", "--b", "3", "--format", "json")
+    assert code == 0
+    assert out_file == out_builder  # bit-for-bit
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("faces_G2.txt", ["faces", "--group", "G2"]),
+    ("faces_B2.json", ["faces", "--group", "B2", "--format", "json"]),
+    ("orbits_B2_w1.txt", ["orbits", "--group", "B2", "--face", "w1", "--max", "3"]),
+    ("decompose_su3_7_19.txt", ["decompose", "--model", "su3-flag-bundle", "--a", "7", "--b", "19"]),
+    ("decompose_su3_7_19.json", ["decompose", "--model", "su3-flag-bundle", "--a", "7", "--b", "19",
+                                 "--format", "json"]),
+    ("verify_qr_orbit_A2_2_1.txt", ["verify-qr", "--model", "orbit", "--group", "A2", "--mu", "2,1"]),
+])
+def test_output_matches_golden_file(capsys, name, argv):
+    # the files print root data, rho_sigma and dimensions; a float or a Fraction
+    # repr reaching the output changes their bytes
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert not re.search(r"\d\.\d|Fraction", out)
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_orbit_model_export_round_trip(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    builder = ("--model", "orbit", "--group", "B2", "--mu", "5/2,0")
+    code, _, _ = run(capsys, "export-model", *builder, "--out", str(path))
+    assert code == 0
+    code, out_file, _ = run(capsys, "index", "--model", str(path), "--format", "json")
+    assert code == 0
+    code, out_builder, _ = run(capsys, "index", *builder, "--format", "json")
     assert code == 0
     assert out_file == out_builder  # bit-for-bit
 

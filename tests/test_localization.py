@@ -635,6 +635,21 @@ def test_model_json_round_trip(tmp_path):
         model_from_json_obj(obj)
 
 
+def test_json_round_trip_of_every_grid_and_su3_model():
+    # the orbit models of A1-A3, B2 and G2 with coordinates <= 4, and su3(a, b) on a stride of 5
+    models = [orbit_model(rs, orbit.mu)
+              for rs in map(build_root_system, ("A1", "A2", "A3", "B2", "G2"))
+              for face in all_faces(rs)
+              for orbit in admissible_orbits_on_face(face, (0, 4), rs)]
+    assert len(models) == 205
+    models += [su3_flag_bundle(a, b) for a in range(0, 41, 5) for b in range(0, 41, 5)]
+    for model in models:
+        obj = model_to_json_obj(model)
+        again = model_from_json_obj(json.loads(json.dumps(obj)))
+        assert model_to_json_obj(again) == obj
+        assert localized_index(again) == localized_index(model)
+
+
 def test_hand_written_model_file(a1, tmp_path):
     # a two-point sphere model written by hand, as a user would
     obj = {

@@ -14,6 +14,8 @@ from spindex import (
     FromMultiplicitiesProvider,
     TableEntry,
     TableProvider,
+    admissible_orbits_on_face,
+    all_faces,
     coadjoint_orbit,
     contributing_faces,
     decompose,
@@ -36,12 +38,19 @@ from spindex.errors import (
 from spindex.localization import (
     KirwanPiece,
     KirwanSet,
+    ManifoldModel,
     _in_hull,
     kirwan_admissible_orbits,
     kirwan_contains,
     kirwan_faces_met,
 )
-from spindex.roots import Face, StabilizerClass, build_root_system, face_from_vanishing_set
+from spindex.roots import (
+    Face,
+    StabilizerClass,
+    build_root_system,
+    face_from_vanishing_set,
+    stabilizer_class_of_face,
+)
 from spindex.weights import weight
 
 
@@ -191,6 +200,46 @@ def test_multiplicity_matches_verify_qr_term_by_term(a2, a3):
         lams = set(report.lhs.multiplicities()) | set(report.rhs.multiplicities())
         for lam in lams:
             assert multiplicity(model, lam, provider) == report.rhs.multiplicity(lam)
+
+
+def _vertex_segment_model(a1):
+    """No fixed points, stabilizer the whole group, and a Kirwan segment [0, 1] from the vertex."""
+    vertex = face_from_vanishing_set(frozenset({1}), a1)
+    return ManifoldModel(
+        root_system=a1, fixed_points=(), generic_stabilizer=stabilizer_class_of_face(vertex, a1),
+        kirwan=KirwanSet((KirwanPiece(face=face_from_vanishing_set(frozenset(), a1),
+                                      segments=((0, 1),)),)),
+        name="vertex-segment")
+
+
+def test_a_segment_from_0_lists_the_vertex_orbit(a1):
+    model = _vertex_segment_model(a1)
+    vertex = face_from_vanishing_set(frozenset({1}), a1)
+    assert [o.mu for o in kirwan_admissible_orbits(model.kirwan, vertex, a1)] == [weight([0])]
+    report = verify_qr(model, ConstantProvider(1))
+    assert report.rhs == Decomposition({weight([1]): 1})
+    assert multiplicity(model, weight([1]), ConstantProvider(1)) == 1
+
+
+def test_both_right_sides_agree_on_every_weight_of_either_side(a1):
+    # verify_qr lists orbits per face (kirwan_admissible_orbits), multiplicity
+    # tests one point (kirwan_contains); the two must give the same right side
+    models = [su3_flag_bundle(a, b) for a in range(0, 41, 5) for b in range(0, 41, 5)]
+    for rs in map(build_root_system, ("A1", "A2", "A3", "B2", "G2")):
+        for face in all_faces(rs):
+            orbits = admissible_orbits_on_face(face, (0, 4), rs)
+            if orbits:
+                models.append(orbit_model(rs, orbits[-1].mu))
+    models.append(_vertex_segment_model(a1))
+    provider = ConstantProvider(1)
+    checked = 0
+    for model in models:
+        report = verify_qr(model, provider)
+        for lam in report.lhs.multiplicities().keys() | report.rhs.multiplicities().keys():
+            assert multiplicity(model, lam, provider) == report.rhs.multiplicity(lam), (
+                model.name, lam)
+            checked += 1
+    assert (len(models), checked) == (104, 1615)
 
 
 def test_abelian_from_multiplicities_tautology(a1, a2):

@@ -317,3 +317,50 @@ def test_exceptional_stabilizer_classes(label, sizes):
     assert sorted(len(c.representative_faces) for c in classes) == sizes
     members = [f for c in classes for f in c.representative_faces]
     assert len(members) == 2 ** rs.rank and set(members) == set(all_faces(rs))
+
+
+def _string_positive_roots(cartan):
+    """Positive roots in Fractions by alpha-strings, with no Weyl reflection.
+
+    Keyed by simple-root coordinates k: beta + alpha_j is a root exactly when
+    q = p - <beta, alpha_j^vee> > 0, where p is how far the alpha_j-string of
+    beta reaches down, read off the roots of lower height found so far.
+    """
+    n = len(cartan)
+    simple = [weight(row[j] for row in cartan) for j in range(n)]
+    found = {tuple(int(i == j) for i in range(n)): simple[j] for j in range(n)}
+    level = dict(found)
+    while level:
+        up = {}
+        for k, beta in level.items():
+            for j in range(n):
+                p = 0
+                while k[:j] + (k[j] - p - 1,) + k[j + 1:] in found:
+                    p += 1
+                if p - beta[j] > 0:
+                    up[k[:j] + (k[j] + 1,) + k[j + 1:]] = wadd(beta, simple[j])
+        found.update(up)
+        level = up
+    return found
+
+
+def _all_int(ws):
+    return all(type(c) is int for w in ws for c in w)
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "A3", "B2", "C3", "G2", "D4", "A1xA1", "A2xA1",
+                                   pytest.param([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], id="custom")])
+def test_root_data_are_int_tuples_equal_to_their_fraction_form(group):
+    rs = build_root_system(group)
+    reference = _string_positive_roots(rs.cartan_matrix)
+    assert _all_int(rs.simple_roots) and _all_int(rs.positive_roots) and _all_int([rs.rho])
+    assert rs.simple_roots == tuple(weight(col) for col in zip(*rs.cartan_matrix))
+    assert set(rs.positive_roots) == set(reference.values())
+    assert len(rs.positive_roots) == len(reference)
+    assert rs.rho == wscale(Q(1, 2), _wsum(reference.values(), rs.rank))
+    for f in all_faces(rs):
+        levi = [beta for k, beta in reference.items()
+                if all(c == 0 or i + 1 in f.vanishing_set for i, c in enumerate(k))]
+        assert _all_int(f.levi_positive_roots)
+        assert set(f.levi_positive_roots) == set(levi)
+        assert f.rho_sigma == wscale(Q(1, 2), _wsum(levi, rs.rank))
