@@ -217,9 +217,9 @@ class Decomposition:
 def _require_infinitesimal_character(lam: Weight, rs: RootSystem) -> tuple[int, ...]:
     point = lattice_point(lam)
     if point is None:
-        raise NotInShiftedLattice(f"{weight(lam)} has non-integer coordinates")
+        raise NotInShiftedLattice(f"({format_weight(weight(lam))}) has non-integer coordinates")
     if not is_strictly_dominant(point):
-        raise NotRegularDominant(f"{weight(point)} is not strictly dominant")
+        raise NotRegularDominant(f"({format_weight(point)}) is not strictly dominant")
     return point
 
 

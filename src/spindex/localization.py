@@ -37,7 +37,9 @@ checked at construction: it is exactly what makes every exponent above land in
 the weight lattice.
 
 All exponent bookkeeping runs on packed int64 lattice keys under numpy, with
-explicit bound checks so the arithmetic stays exact.
+explicit bound checks so the arithmetic stays exact.  The sum over fixed points
+carries a key and a coefficient per term; one unstable sort by key merges them
+(equal keys are summed), and pairings with xi are computed only for survivors.
 """
 
 from __future__ import annotations
@@ -87,14 +89,15 @@ from .weights import (
 _PRIME = 2 ** 61 - 1  # the field of exact_cross_check
 _CANCELLATION_MARGIN = 5  # pairing depths below the support bound that must cancel
 
-_A2_CACHE: RootSystem | None = None
+_SHARED_ROOT_SYSTEMS: dict[str, RootSystem] = {}
 
 
-def _a2() -> RootSystem:
-    global _A2_CACHE
-    if _A2_CACHE is None:
-        _A2_CACHE = build_root_system("A2")
-    return _A2_CACHE
+def _shared_root_system(spec) -> RootSystem:
+    """One root system per group label or Cartan matrix, shared by the models built on it."""
+    key = spec if isinstance(spec, str) else repr(spec)  # a key even for a malformed matrix
+    if key not in _SHARED_ROOT_SYSTEMS:
+        _SHARED_ROOT_SYSTEMS[key] = build_root_system(spec)
+    return _SHARED_ROOT_SYSTEMS[key]
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,8 @@ class FixedPointDatum:
         tangents = tuple(map(lattice_point, self.tangent_weights))
         for a, t in zip(self.tangent_weights, tangents):
             if t is None:
-                raise ParityViolation(
-                    f"fixed point {self.label!r}: tangent weight {weight(a)} must be integral")
+                raise ParityViolation(f"fixed point {self.label!r}: tangent weight "
+                                      f"({format_weight(weight(a))}) must be integral")
             if not any(t):
                 raise ParityViolation(
                     f"fixed point {self.label!r}: zero tangent weight (fixed points must be isolated)")
@@ -430,16 +433,17 @@ def _series(rs: RootSystem, oriented, pairs, depth: int) -> tuple[np.ndarray, np
     return coords[:m], drop[:m], coef[:m]
 
 
-def _combine(keys, pair, coef):
+def _combine(keys, coef):
+    """Unique keys in ascending order with summed coefficients; the sort need not be stable."""
     if len(keys) == 0:
-        return keys, pair, coef
-    order = np.argsort(keys, kind="stable")
-    keys, pair, coef = keys[order], pair[order], coef[order]
+        return keys, coef
+    order = np.argsort(keys)
+    keys, coef = keys[order], coef[order]
     fresh = np.empty(len(keys), dtype=bool)
     fresh[0] = True
-    fresh[1:] = keys[1:] != keys[:-1]
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    return keys[starts], pair[starts], np.add.reduceat(coef, starts)
+    return keys[starts], np.add.reduceat(coef, starts)
 
 
 def localized_index(model: ManifoldModel) -> VirtualCharacter:
@@ -474,12 +478,12 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
             # the terms of pd with pairing >= floor are a prefix of the shared series
             m = int(np.searchsorted(drop, pd.base - floor, side="right"))
             key0 = sum(c * s for c, s in zip(pd.nu, strides))
-            parts.append((key0 - vkeys[:m], pd.base - drop[:m],
-                          vcoef[:m] if pd.sign > 0 else -vcoef[:m]))
-    keys, pair, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
+            parts.append((key0 - vkeys[:m], vcoef[:m] if pd.sign > 0 else -vcoef[:m]))
+    keys, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
     live = coef != 0
-    keys, pair, coef = keys[live], pair[live], coef[live]
-    unstable = pair < result_floor
+    # a key fixes its weight, so pairings are needed only for the terms that survive
+    coords, coef = _unpack(keys[live], bounds, strides), coef[live]
+    unstable = coords @ np.array(xi_int, dtype=np.int64) < result_floor
     if np.any(unstable):
         raise UnstableCutoff(
             f"the fixed points of model {model.name!r} do not sum to a finite character: "
@@ -487,7 +491,6 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     # the keys are unique and the coefficients nonzero; one list per axis, not
     # per term, as per-term lists would double the allocations that trigger
     # the cyclic garbage collector
-    coords = _unpack(keys, bounds, strides)
     return VirtualCharacter._of(dict(zip(zip(*coords.T.tolist()), coef.tolist())))
 
 
@@ -597,7 +600,7 @@ def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> 
         raise SpindexError("flag bundle parameters must be nonnegative integers")
     if convention not in (CALIBRATED_CONVENTION, LITERAL_CONVENTION):
         raise SpindexError(f"unknown determinant convention {convention!r}")
-    rs = _a2()
+    rs = _shared_root_system("A2")
     x = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
     fixed = []
     for i, j in ((1, 2), (1, 3), (2, 3)):
@@ -813,10 +816,7 @@ def model_to_json_obj(model: ManifoldModel) -> dict:
 
 
 def model_from_json_obj(obj: dict) -> ManifoldModel:
-    if "group" in obj:
-        rs = build_root_system(obj["group"])
-    else:
-        rs = build_root_system(obj["cartan_matrix"])
+    rs = _shared_root_system(obj["group"] if "group" in obj else obj["cartan_matrix"])
     fixed = tuple(
         FixedPointDatum(
             label=e["label"],

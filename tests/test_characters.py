@@ -60,6 +60,15 @@ def test_weyl_character_validation(a2):
         weyl_character(weight([Q(1, 2), 1]), a2)
 
 
+def test_lattice_errors_print_weights_as_coordinates(a2):
+    with pytest.raises(NotRegularDominant) as err:
+        weyl_character((1, 0), a2)
+    assert str(err.value) == "(1,0) is not strictly dominant"
+    with pytest.raises(NotInShiftedLattice) as err:
+        dimension(("1/2", 1), a2)
+    assert str(err.value) == "(1/2,1) has non-integer coordinates"
+
+
 def test_character_weights_must_be_integral():
     with pytest.raises(NotInShiftedLattice):
         VirtualCharacter.monomial(weight([Q(1, 2)]))

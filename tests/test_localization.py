@@ -3,11 +3,14 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spindex import (
     Decomposition,
@@ -27,6 +30,7 @@ from spindex import (
     su3_flag_bundle,
     weyl_character,
 )
+from spindex import localization
 from spindex.errors import (
     NonGenericDirection,
     NotAdmissible,
@@ -36,7 +40,6 @@ from spindex.errors import (
 )
 from spindex.localization import (
     _CANCELLATION_MARGIN,
-    _combine,
     _direction,
     _direction_candidates,
     _expand_series,
@@ -80,7 +83,7 @@ def test_fixed_point_data_are_machine_integers():
     assert violation(weight([Q(1, 2), 0]), (weight([2, -1]),)) == \
         "fixed point 'p': determinant weight must be integral"
     assert violation(weight([1, 0]), (weight([Q(1, 2), 0]),)) == \
-        "fixed point 'p': tangent weight (Fraction(1, 2), Fraction(0, 1)) must be integral"
+        "fixed point 'p': tangent weight (1/2,0) must be integral"
     assert violation(weight([1, 0]), (weight([2, -1]),)) == (
         "fixed point 'p': eta - sum(tangent weights) = (-1,1) is not in 2*Lambda; "
         "no spin-c structure has this determinant")
@@ -295,6 +298,20 @@ def test_orbit_models_keep_h_and_su3_models_keep_their_character():
             model = su3_flag_bundle(a, b)
             assert _direction(model) != old
             assert localized_index(model) == _localize(model, old), model.name
+
+
+# a stable three-column merge (key, pairing, coefficient) for the reference
+# engines below, apart from the engine's two-column one so they share no code
+def _combine(keys, pair, coef):
+    if len(keys) == 0:
+        return keys, pair, coef
+    order = np.argsort(keys, kind="stable")
+    keys, pair, coef = keys[order], pair[order], coef[order]
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    fresh[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(fresh)
+    return keys[starts], pair[starts], np.add.reduceat(coef, starts)
 
 
 def _per_point_expansion(nu, oriented, pairs, sign, base, floor, strides):
@@ -567,9 +584,46 @@ def test_cold_and_warm_caches_agree_in_either_depth_order(label):
 
 
 def test_unstable_cutoff_raises():
-    # t / (t - t^-1) = sum_k t^(-2k) has no lowest term
-    with pytest.raises(UnstableCutoff, match="do not sum to a finite character"):
-        localized_index(one_point_model("A1", ["2"], [["2"]]))
+    # t / (t - t^-1) = sum_k t^(-2k) has no lowest term; the cone
+    # sum_{i,j>=0} t^-(i a1 + j a2) less its edge sum_i t^-(i a1) cancels only
+    # in part, as the terms with j >= 1 stay
+    cone_minus_edge = model_from_json_obj({
+        "name": "cone-minus-edge", "group": "A2",
+        "fixed_points": [
+            {"label": "p", "det_weight": ["1", "1"],
+             "tangent_weights": [["2", "-1"], ["-1", "2"]]},
+            {"label": "q", "det_weight": ["2", "-1"], "tangent_weights": [["-2", "1"]]}],
+        "generic_stabilizer": [[]], "kirwan": []})
+    for model, count in ((one_point_model("A1", ["2"], [["2"]]), 2), (cone_minus_edge, 9)):
+        with pytest.raises(UnstableCutoff) as err:
+            localized_index(model)
+        assert str(err.value) == (
+            f"the fixed points of model {model.name!r} do not sum to a finite character: "
+            f"{count} terms below its support bound do not cancel")
+
+
+_wide_ints = st.integers(-2 ** 40, 2 ** 40)
+
+
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([(-3, 7)])
+@given(st.one_of(
+    st.lists(st.tuples(st.integers(-6, 6), _wide_ints), max_size=60),  # many duplicate keys
+    st.lists(st.tuples(_wide_ints, _wide_ints), max_size=3),
+    st.lists(st.tuples(st.integers(-6, 6), _wide_ints), max_size=30).map(
+        lambda ts: ts + [(k, -c) for k, c in ts]),  # every key cancels
+))
+def test_combine_sums_the_coefficients_of_each_key(terms):
+    keys = np.array([k for k, _ in terms], dtype=np.int64)
+    coef = np.array([c for _, c in terms], dtype=np.int64)
+    out_keys, out_coef = localization._combine(keys, coef)
+    assert out_keys.dtype == np.int64 and out_coef.dtype == np.int64
+    assert np.all(out_keys[1:] > out_keys[:-1])  # sorted and unique
+    want = Counter()
+    for k, c in terms:
+        want[k] += c
+    assert dict(zip(out_keys.tolist(), out_coef.tolist())) == dict(want)
 
 
 def test_non_generic_direction():
@@ -648,6 +702,21 @@ def test_json_round_trip_of_every_grid_and_su3_model():
         again = model_from_json_obj(json.loads(json.dumps(obj)))
         assert model_to_json_obj(again) == obj
         assert localized_index(again) == localized_index(model)
+
+
+def test_model_files_of_a_group_share_one_root_system():
+    a3 = build_root_system("A3")
+    built = [orbit_model(a3, weight(mu)) for mu in ([1, 0, 0], [2, 1, 1])]
+    loaded = [model_from_json_obj(json.loads(json.dumps(model_to_json_obj(m)))) for m in built]
+    assert loaded[0].root_system is loaded[1].root_system
+    for model, again in zip(built, loaded):
+        assert localized_index(again) == localized_index(model)
+    # the su3 builder and su3 model files share theirs too, and so do matrix files
+    su3 = su3_flag_bundle(1, 3)
+    assert model_from_json_obj(model_to_json_obj(su3)).root_system is su3.root_system
+    custom = model_to_json_obj(replace(built[0], root_system=build_root_system(
+        [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])))
+    assert model_from_json_obj(custom).root_system is model_from_json_obj(custom).root_system
 
 
 def test_hand_written_model_file(a1, tmp_path):
