@@ -63,8 +63,8 @@ class ParityViolation(SpindexError):
     """Fixed-point data admits no spin-c structure with the given determinant."""
 
 
-class NonGenericDirection(SpindexError):
-    """The expansion direction is orthogonal to some tangent weight."""
+class ExpansionTooLarge(SpindexError):
+    """A series of the localization expansion passed its fixed bound of 2^24 terms."""
 
 
 class UnstableCutoff(SpindexError):

@@ -6,7 +6,7 @@ stored as int tuples.  The index is the finite Laurent polynomial
 
     sum_p  t^{eta_p/2} prod_j (t^{alpha_pj/2} - t^{-alpha_pj/2})^{-1},
 
-computed by orienting every tangent weight against a generic rational
+computed by orienting every tangent weight against a generic integral
 direction xi (each flip contributes a sign), expanding each inverted factor as
 a geometric series t^{-alpha/2} sum_k t^{-k alpha}, truncating at a pairing
 depth along xi, and summing over fixed points.  The depth reaches a few steps
@@ -16,11 +16,16 @@ generic, which it is for every orbit model because their tangent weights are
 roots; keeping h there leaves their expansions as they are, where choosing by
 cost moved many of them and saved no time beyond run-to-run noise.
 Otherwise it is the generic nudge h + k e_i (k = 1, 2) with the fewest
-predicted series terms, a count that needs only pairings with xi, and
-rational candidates come last.
+predicted series terms, a count that needs only pairings with xi.  Failing
+that, it is the first generic point h + (k, k^2, ..., k^r), k = 1, 2, ..., of
+the moment curve: a nonzero tangent weight pairs with it to a nonzero
+polynomial in k of degree at most r, so each tangent weight rules out at most
+r values of k and the search always ends.
 When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
-UnstableCutoff when it fails.
+UnstableCutoff when it fails.  The size of a series is what limits the
+engine: one that would pass _SERIES_BOUND terms raises ExpansionTooLarge
+before it is laid out.
 
 Fixed points that share a multiset of oriented tangent weights (in an orbit
 model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
@@ -44,6 +49,7 @@ carries a key and a coefficient per term; one unstable sort by key merges them
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -54,7 +60,7 @@ import numpy as np
 
 from .characters import VirtualCharacter
 from .errors import (
-    NonGenericDirection,
+    ExpansionTooLarge,
     NotAdmissible,
     ParityViolation,
     SpindexError,
@@ -88,6 +94,7 @@ from .weights import (
 
 _PRIME = 2 ** 61 - 1  # the field of exact_cross_check
 _CANCELLATION_MARGIN = 5  # pairing depths below the support bound that must cancel
+_SERIES_BOUND = 2 ** 24  # terms of one expanded series
 
 _SHARED_ROOT_SYSTEMS: dict[str, RootSystem] = {}
 
@@ -209,10 +216,12 @@ class ManifoldModel:
                     raise SpindexError(f"malformed Kirwan segment [{lo}, {hi}]")
             for p in piece.points:
                 if len(p) != rs.rank or not is_dominant(p):
-                    raise SpindexError(f"Kirwan point {p} is not in the dominant chamber")
+                    raise SpindexError(
+                        f"Kirwan point ({format_weight(p)}) is not in the dominant chamber")
                 if any(p[i - 1] != 0 for i in piece.face.vanishing_set):
                     raise SpindexError(
-                        f"Kirwan point {p} is not in the closure of {piece.face.label()}")
+                        f"Kirwan point ({format_weight(p)}) is not in the closure of "
+                        f"{piece.face.label()}")
 
     def info_dict(self) -> dict[str, str]:
         return dict(self.info)
@@ -227,62 +236,51 @@ def _integral_candidates(rs: RootSystem) -> list[tuple[int, ...]]:
     return [h] + [h[:i] + (h[i] + k,) + h[i + 1:] for k in (1, 2) for i in range(rs.rank)]
 
 
-def _direction_candidates(rs: RootSystem) -> list[Weight]:
-    """The integral candidates, then rational ones for tangents orthogonal to all of them."""
-    r = rs.rank
-    h = weight(rs._height_fun)
-    cands = [weight(c) for c in _integral_candidates(rs)]
-    cands.append(wadd(h, weight(Fraction(k, 2 * r + 3) for k in range(1, r + 1))))
-    cands.append(wadd(h, weight(Fraction((r + 2) ** k, 97) for k in range(r))))
-    cands.append(wadd(h, weight(Fraction((2 * r + 5) ** k, 8191) for k in range(r))))
-    # last: its denominator 97^r makes the window, and so the expansion, long
-    cands.append(weight(1 + Fraction(1, 97 ** k) for k in range(1, r + 1)))
-    return cands
-
-
 def _tangent_set(model: ManifoldModel) -> set[tuple[int, ...]]:
     return {a for fp in model.fixed_points for a in fp.tangent_weights}
 
 
-def _pair(a, xi_int) -> int:
-    return sum(map(mul, a, xi_int))
+def _pair(a, xi) -> int:
+    return sum(map(mul, a, xi))
 
 
-def _is_generic(xi: Weight, tangents) -> bool:
-    xi_int, _ = _scale_direction(xi)
-    return all(_pair(a, xi_int) for a in tangents)
+def _is_generic(xi: tuple[int, ...], tangents) -> bool:
+    return all(_pair(a, xi) for a in tangents)
 
 
-def _direction(model: ManifoldModel) -> Weight:
+def _direction(model: ManifoldModel) -> tuple[int, ...]:
     """h when it pairs nonzero against every tangent weight, as it does for orbit models.
 
-    Otherwise the generic nudge of h with the fewest predicted series terms,
-    and failing that the first generic rational candidate.
+    Otherwise the generic nudge of h with the fewest predicted series terms.
+    Failing that, the first generic point h + (k, k^2, ..., k^r), k = 1, 2, ...,
+    of the moment curve.  A nonzero tangent weight a pairs with that point to
+    <a, h> + sum_i a_i k^i, a nonzero polynomial in k of degree at most r, so
+    a rules out at most r values of k and a generic point turns up by
+    k = r * (number of tangent weights) + 1.
     """
     rs = model.root_system
     tangents = _tangent_set(model)
     h, *nudges = _integral_candidates(rs)
     if _is_generic(h, tangents):
-        return weight(h)
+        return h
     generic = [xi for xi in nudges if _is_generic(xi, tangents)]
     if generic:
-        return weight(min(generic, key=lambda xi: _predicted_terms(model, xi)))
-    xi = next((c for c in _direction_candidates(rs) if _is_generic(c, tangents)), None)
-    if xi is None:
-        raise NonGenericDirection(
-            f"no candidate expansion direction is generic for model {model.name!r}")
-    return xi
+        return min(generic, key=lambda xi: _predicted_terms(model, xi))
+    for k in itertools.count(1):
+        xi = tuple(c + k ** i for i, c in enumerate(h, 1))
+        if _is_generic(xi, tangents):
+            return xi
 
 
 def _predicted_terms(model: ManifoldModel, xi: tuple[int, ...]) -> Fraction:
-    """The size of the expansion along an integral generic xi, up to constant factors.
+    """The size of the expansion along a generic xi, up to constant factors.
 
     A point whose k oriented tangent weights pair to n_j with xi has about
     (base - floor)^k / (k! prod_j n_j) series terms above the floor; k is the
     same at every candidate, so the k! is left out.
     """
     points = [_PointData(fp, xi) for fp in model.fixed_points]
-    floor, _ = _window(points, 1)
+    floor, _ = _window(points)
     return sum(Fraction((pd.base - floor) ** len(pd.oriented),
                         math.prod(_pair(a, xi) for a in pd.oriented))
                for pd in points)
@@ -291,20 +289,15 @@ def _predicted_terms(model: ManifoldModel, xi: tuple[int, ...]) -> Fraction:
 # -- the engine ----------------------------------------------------------------
 
 
-def _scale_direction(xi: Weight) -> tuple[tuple[int, ...], int]:
-    den = math.lcm(*(c.denominator for c in xi))
-    return tuple(int(c * den) for c in xi), den
-
-
 class _PointData:
     __slots__ = ("nu", "oriented", "sign", "base", "total")
 
-    def __init__(self, fp: FixedPointDatum, xi_int):
+    def __init__(self, fp: FixedPointDatum, xi):
         sign = 1
         oriented = []
         total = 0
         for a in fp.tangent_weights:
-            n = _pair(a, xi_int)
+            n = _pair(a, xi)
             if n < 0:
                 a = wneg(a)
                 sign = -sign
@@ -315,20 +308,20 @@ class _PointData:
         self.nu = tuple(c // 2 for c in _less_sum(fp.det_weight, oriented))
         self.oriented = tuple(sorted(oriented))
         self.sign = sign
-        self.base = _pair(self.nu, xi_int)
+        self.base = _pair(self.nu, xi)
         self.total = total  # the sum of the oriented pairings
 
 
-def _window(points: list[_PointData], den: int) -> tuple[int, int]:
-    """The expansion floor and the support bound along xi, as pairings with den * xi.
+def _window(points: list[_PointData]) -> tuple[int, int]:
+    """The expansion floor and the support bound along xi, as pairings with xi.
 
     A finite sum has its support in [low, top] along xi, so the window reaches
     past it and every term in the margin below must cancel.
     """
     top = max(pd.base for pd in points)
     low = min(pd.base - pd.total for pd in points)
-    depth = max(1, math.ceil(Fraction(top - low, den))) + 2
-    return top - (depth + _CANCELLATION_MARGIN) * den, top - depth * den
+    depth = max(1, top - low) + 2
+    return top - depth - _CANCELLATION_MARGIN, top - depth
 
 
 def _packing(nus, series, slab: int) -> tuple[list[int], list[int]]:
@@ -378,6 +371,9 @@ def _expand_series(oriented, pairs, depth: int, strides) -> tuple[np.ndarray, np
         starts = np.flatnonzero(fresh)
         length = np.maximum.reduceat(j, starts) + 1
         end = length.cumsum() - 1
+        if end[-1] >= _SERIES_BOUND:
+            raise ExpansionTooLarge(
+                f"a series of the expansion passes its fixed bound of {_SERIES_BOUND} terms")
         run = np.zeros(int(end[-1]) + 1, dtype=np.int64)
         run[end[fresh.cumsum() - 1] - j] = coef
         # the first entry of each string also cancels the total of the one
@@ -449,7 +445,7 @@ def _combine(keys, coef):
 def localized_index(model: ManifoldModel) -> VirtualCharacter:
     """Equivariant index of the model as a finite virtual character.
 
-    Raises NonGenericDirection when no candidate direction is generic, and
+    Raises ExpansionTooLarge when a series passes its fixed bound, and
     UnstableCutoff when the fixed-point sum is not a finite character.
     """
     if not model.fixed_points:
@@ -457,15 +453,14 @@ def localized_index(model: ManifoldModel) -> VirtualCharacter:
     return _localize(model, _direction(model))
 
 
-def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
-    """The series expansion along the generic direction xi, summed over fixed points."""
-    xi_int, den = _scale_direction(xi)
-    points = [_PointData(fp, xi_int) for fp in model.fixed_points]
+def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
+    """The series expansion along the generic integral direction xi, summed over fixed points."""
+    points = [_PointData(fp, xi) for fp in model.fixed_points]
     groups: dict[tuple, list[_PointData]] = {}
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
-    pairs = {oriented: tuple(_pair(a, xi_int) for a in oriented) for oriented in groups}
-    floor, result_floor = _window(points, den)
+    pairs = {oriented: tuple(_pair(a, xi) for a in oriented) for oriented in groups}
+    floor, result_floor = _window(points)
     top = max(pd.base for pd in points)
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
     parts = []
@@ -483,7 +478,7 @@ def _localize(model: ManifoldModel, xi: Weight) -> VirtualCharacter:
     live = coef != 0
     # a key fixes its weight, so pairings are needed only for the terms that survive
     coords, coef = _unpack(keys[live], bounds, strides), coef[live]
-    unstable = coords @ np.array(xi_int, dtype=np.int64) < result_floor
+    unstable = coords @ np.array(xi, dtype=np.int64) < result_floor
     if np.any(unstable):
         raise UnstableCutoff(
             f"the fixed points of model {model.name!r} do not sum to a finite character: "

@@ -26,6 +26,7 @@ from .weights import (
     Weight,
     format_weight,
     is_dominant,
+    weight,
     wsub,
 )
 
@@ -45,7 +46,8 @@ class CoadjointOrbit:
 
     def __post_init__(self):
         if not is_dominant(self.mu):
-            raise NotDominant(f"orbit representative must be dominant, got {self.mu}")
+            raise NotDominant(
+                f"orbit representative must be dominant, got ({format_weight(self.mu)})")
         zeros = frozenset(i + 1 for i, c in enumerate(self.mu) if c == 0)
         if len(self.mu) != len(self.face.rho_sigma) or zeros != self.face.vanishing_set:
             raise NotOnFace(f"orbit representative ({format_weight(self.mu)}) does not lie "
@@ -85,17 +87,19 @@ class OrbitIndex:
 
 def coadjoint_orbit(mu: Weight, rs: RootSystem) -> CoadjointOrbit:
     """Wrap a dominant weight as the orbit through it."""
-    mu = tuple(Fraction(c) for c in mu)
+    mu = weight(mu)
     if not is_dominant(mu):
-        raise NotDominant(f"orbit representative must be dominant, got {mu}")
+        raise NotDominant(f"orbit representative must be dominant, got ({format_weight(mu)})")
     return CoadjointOrbit(mu, face_of(mu, rs))
 
 
 def is_admissible(mu: Weight, rs: RootSystem) -> bool:
     """Lattice test mu - rho + rho_sigma integral, with sigma the face of mu."""
+    mu = weight(mu)
     rs.check_rank(mu, "is_admissible")
     if not is_dominant(mu):
-        raise NotDominant(f"admissibility test requires a dominant weight, got {mu}")
+        raise NotDominant(
+            f"admissibility test requires a dominant weight, got ({format_weight(mu)})")
     return _admissible_on(mu, face_of(mu, rs))
 
 

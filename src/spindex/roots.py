@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import NotDominant, SpindexError, UnknownType, WeylGroupTooLarge
-from .weights import Weight, is_dominant, weight
+from .weights import Weight, format_weight, is_dominant, weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -365,7 +365,7 @@ def dominant_representative(w: Weight, rs: RootSystem) -> Weight:
 def face_of(w: Weight, rs: RootSystem) -> Face:
     """Face of the dominant chamber whose relative interior contains ``w``."""
     if not is_dominant(w):
-        raise NotDominant(f"face_of requires a dominant weight, got {w}")
+        raise NotDominant(f"face_of requires a dominant weight, got ({format_weight(w)})")
     vanishing = frozenset(i + 1 for i, c in enumerate(w) if c == 0)
     return face_from_vanishing_set(vanishing, rs)
 

@@ -170,6 +170,42 @@ def test_index_of_a_sum_that_is_not_a_finite_character_exits_2(capsys, tmp_path)
     assert "do not sum to a finite character" in err
 
 
+def test_an_expansion_past_its_bound_exits_2(capsys, tmp_path):
+    # no integral nudge of h is generic for these tangent weights; along the
+    # moment-curve direction (5, 11) one series would pass its 2^24-term bound
+    tangents = [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"],
+                ["16", "-15"], ["66", "-65"], ["16391", "-16383"], ["4705", "-4753"]]
+    model = tmp_path / "nine.json"
+    model.write_text(json.dumps({
+        "group": "A2", "generic_stabilizer": [[]], "kirwan": [],
+        "fixed_points": [{"label": "p", "det_weight": ["1", "1"], "tangent_weights": tangents}],
+    }))
+    code, out, err = run(capsys, "index", "--model", str(model))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a series of the expansion passes its fixed bound of {2 ** 24} terms\n"
+
+
+@pytest.mark.parametrize("kirwan,text", [
+    (None, "admissibility test requires a dominant weight, got (-1,2)"),
+    ({"face": [], "points": [["-1", "2"]]}, "Kirwan point (-1,2) is not in the dominant chamber"),
+    ({"face": [1], "points": [["1", "2"]]}, "Kirwan point (1,2) is not in the closure of S={1}"),
+])
+def test_weights_in_error_messages_print_as_coordinates(capsys, tmp_path, kirwan, text):
+    if kirwan is None:
+        argv = ("index", "--model", "orbit", "--group", "A2", "--mu=-1,2")
+    else:
+        model = tmp_path / "kirwan.json"
+        model.write_text(json.dumps({
+            "group": "A2", "generic_stabilizer": [[]], "kirwan": [kirwan],
+            "fixed_points": [{"label": "p", "det_weight": ["1", "1"],
+                              "tangent_weights": [["2", "-1"], ["-1", "2"]]}],
+        }))
+        argv = ("index", "--model", str(model))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 def test_table_provider_from_file(capsys, tmp_path):
     table = tmp_path / "table.json"
     table.write_text(json.dumps({

@@ -1,8 +1,10 @@
 """Fixed-point engine, model builders, exact modular oracle, model files."""
 
+import itertools
 import json
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -32,7 +34,7 @@ from spindex import (
 )
 from spindex import localization
 from spindex.errors import (
-    NonGenericDirection,
+    ExpansionTooLarge,
     NotAdmissible,
     ParityViolation,
     SpindexError,
@@ -41,7 +43,6 @@ from spindex.errors import (
 from spindex.localization import (
     _CANCELLATION_MARGIN,
     _direction,
-    _direction_candidates,
     _expand_series,
     _integral_candidates,
     _is_generic,
@@ -50,7 +51,6 @@ from spindex.localization import (
     _pair,
     _PointData,
     _predicted_terms,
-    _scale_direction,
     _series,
     _tangent_set,
     _window,
@@ -242,9 +242,17 @@ def one_point_model(group, eta, tangents):
     })
 
 
+def _curve_points(model, count):
+    """The first generic points h + (k, k^2, ..., k^r), k = 1, 2, ..., of the moment curve."""
+    h, tangents = model.root_system._height_fun, _tangent_set(model)
+    curve = (tuple(c + k ** i for i, c in enumerate(h, 1)) for k in itertools.count(1))
+    return list(itertools.islice((xi for xi in curve if _is_generic(xi, tangents)), count))
+
+
 def test_index_is_independent_of_the_direction(a2, a3):
-    # the index is a function of the model alone: every other generic candidate
-    # direction expands to the same character as the one localized_index picks
+    # the index is a function of the model alone: every other generic integral
+    # candidate and the first two generic moment-curve points expand to the
+    # same character as the direction localized_index picks
     b2, g2 = build_root_system("B2"), build_root_system("G2")
     for model in [
         su3_flag_bundle(2, 5),
@@ -255,8 +263,9 @@ def test_index_is_independent_of_the_direction(a2, a3):
     ]:
         chi = localized_index(model)
         chosen = _direction(model)
-        others = [xi for xi in _direction_candidates(model.root_system)
+        others = [xi for xi in _integral_candidates(model.root_system)
                   if xi != chosen and _is_generic(xi, _tangent_set(model))]
+        others += _curve_points(model, 2)
         assert len(others) >= 3, model.name
         for xi in others:
             assert _localize(model, xi) == chi, (model.name, xi)
@@ -264,25 +273,51 @@ def test_index_is_independent_of_the_direction(a2, a3):
 
 def test_direction_prefers_a_short_window(a2):
     # h = (2, 2) is orthogonal to (1, -1) in each model, so the rule picks the
-    # generic nudge h + k e_i with the fewest predicted series terms; the last
-    # candidate, 1 + 1/97^k, has a 97^2 denominator and a long window
+    # generic nudge h + k e_i with the fewest predicted series terms
     models = [
         one_point_model("A2", ["1", "1"], [["1", "-1"], ["16", "-15"], ["66", "-65"]]),
         *(su3_flag_bundle(a, b) for a, b in [(0, 0), (0, 40), (40, 0), (7, 19), (40, 40)]),
     ]
-    slowest = _direction_candidates(a2)[-1]
     for model in models:
         chosen = _direction(model)
         generic = [xi for xi in _integral_candidates(a2)[1:]
                    if _is_generic(xi, _tangent_set(model))]
-        assert chosen in generic and chosen != slowest, model.name
-        assert _predicted_terms(model, tuple(map(int, chosen))) == \
+        assert chosen in generic, model.name
+        assert _predicted_terms(model, chosen) == \
             min(_predicted_terms(model, xi) for xi in generic), model.name
-    # when every nudge is orthogonal to a tangent weight too, the first
-    # generic rational candidate is the last resort, not 1 + 1/97^k
+    # when every nudge is orthogonal to a tangent weight too, the direction is
+    # the first generic point h + (k, k^2) of the moment curve: (3, 3) is
+    # orthogonal to (1, -1) and (4, 6) to (3, -2), so k = 3 gives (5, 11)
     model = one_point_model("A2", ["1", "1"],
                             [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"]])
-    assert _direction(model) == weight([Q(15, 7), Q(16, 7)])
+    assert _direction(model) == (5, 11)
+    assert all(type(c) is int for c in _direction(model))
+
+
+def test_the_moment_curve_direction_on_a_finite_model(a3):
+    # two points p, q with tangents (a1, a2, a3) and (-a1, a2, a3) and the same
+    # eta cancel, so the model's index is the orbit's; every a_i is orthogonal
+    # to h = (3, 4, 3), and each nudge h + k e_i to one of them
+    orbit = orbit_model(a3, weight([1, 1, 1]))
+    a = ((0, 3, -4), (1, 0, -1), (4, -3, 0))
+    eta = tuple(map(sum, zip(*a)))
+    model = replace(orbit, name="orbit-plus-cancelling-pair", fixed_points=(
+        *orbit.fixed_points,
+        FixedPointDatum("p", eta, a),
+        FixedPointDatum("q", eta, (tuple(-c for c in a[0]), *a[1:]))))
+    assert a3._height_fun == (3, 4, 3)
+    nudges = _integral_candidates(a3)
+    assert all(any(_pair(t, xi) == 0 for t in a) for xi in nudges)
+    # k = 1 gives (4, 5, 4), orthogonal to a2; k = 2 gives (5, 8, 11), orthogonal to alpha_2
+    xi = _direction(model)
+    assert xi == (6, 13, 30) and all(type(c) is int for c in xi)
+    assert _curve_points(model, 1) == [xi]
+    chi = localized_index(orbit)
+    assert localized_index(model) == chi
+    further = _curve_points(model, 3)[1:]
+    assert len(further) == 2 and xi not in further
+    for other in further:
+        assert _localize(model, other) == chi, other
 
 
 def test_orbit_models_keep_h_and_su3_models_keep_their_character():
@@ -291,12 +326,13 @@ def test_orbit_models_keep_h_and_su3_models_keep_their_character():
         for face in all_faces(rs):
             for orbit in admissible_orbits_on_face(face, (Q(0), Q(4)), rs):
                 model = orbit_model(rs, orbit.mu)
-                assert _direction(model) == weight(rs._height_fun), model.name
-    old = weight([Q(15, 7), Q(16, 7)])  # h + (1/7, 2/7), the direction before the rule
+                assert _direction(model) == rs._height_fun, model.name
+                assert all(type(c) is int for c in _direction(model)), model.name
+    old = (15, 16)  # 7 (h + (1/7, 2/7)), the direction before the rule, made integral
     for a in range(0, 40, 3):
         for b in range(0, 40, 3):
             model = su3_flag_bundle(a, b)
-            assert _direction(model) != old
+            assert _direction(model) in ((2, 3), (3, 2)), model.name
             assert localized_index(model) == _localize(model, old), model.name
 
 
@@ -332,28 +368,28 @@ def _per_point_expansion(nu, oriented, pairs, sign, base, floor, strides):
 
 def _per_point_localize(model) -> VirtualCharacter:
     """Reference engine: every fixed point expands its own series to its own depth."""
-    xi_int, den = _scale_direction(_direction(model))
+    xi = _direction(model)
     points = []
     for fp in model.fixed_points:
         sign, oriented, pairs, nu = 1, [], [], list(fp.det_weight)
         for a in fp.tangent_weights:
-            p = sum(c * x for c, x in zip(a, xi_int))
+            p = sum(c * x for c, x in zip(a, xi))
             if p < 0:
                 a, p, sign = tuple(-c for c in a), -p, -sign
             oriented.append(a)
             pairs.append(p)
             nu = [e - c for e, c in zip(nu, a)]
         nu = tuple(e // 2 for e in nu)
-        points.append((nu, oriented, pairs, sign, sum(n * x for n, x in zip(nu, xi_int))))
+        points.append((nu, oriented, pairs, sign, sum(n * x for n, x in zip(nu, xi))))
     top = max(p[4] for p in points)
     low = min(p[4] - sum(p[2]) for p in points)
-    depth = max(1, math.ceil(Q(top - low, den))) + 2
-    floor = top - (depth + _CANCELLATION_MARGIN) * den
+    depth = max(1, top - low) + 2
+    floor = top - depth - _CANCELLATION_MARGIN
     bounds, strides = _packing([p[0] for p in points], [p[1:3] for p in points], top - floor)
     parts = [_per_point_expansion(*p, floor, strides) for p in points]
     keys, pair, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
     live = coef != 0
-    assert not np.any(pair[live] < top - depth * den)
+    assert not np.any(pair[live] < top - depth)
     terms = {}
     for key, c in zip(keys[live].tolist(), coef[live].tolist()):
         key += sum(b * s for b, s in zip(bounds, strides))
@@ -412,7 +448,7 @@ def _oriented_cases():
         yield tuple(sorted(oriented)), xi
     g2 = build_root_system("G2")
     roots = tuple(tuple(int(c) for c in beta) for beta in g2.positive_roots)
-    xi, _ = _scale_direction(_direction_candidates(g2)[0])
+    xi = g2._height_fun
     yield roots, xi
     yield tuple(sorted(roots * 2)), xi
     long_roots = ((-3, 2), (0, 1), (3, -1))  # alpha_2, 3 alpha_1 + 2 alpha_2, 3 alpha_1 + alpha_2
@@ -527,7 +563,7 @@ def _orbit_pool(label, top):
 def _nudged(model):
     """Every generic integral nudge h + k e_i of h for the model."""
     tangents = _tangent_set(model)
-    return [xi for xi in map(weight, _integral_candidates(model.root_system)[1:])
+    return [xi for xi in _integral_candidates(model.root_system)[1:]
             if _is_generic(xi, tangents)]
 
 
@@ -560,9 +596,9 @@ def test_su3_pool_is_independent_of_the_direction():
 
 def _depth(model):
     """The deepest series depth the model asks for along its direction."""
-    xi_int, den = _scale_direction(_direction(model))
-    points = [_PointData(fp, xi_int) for fp in model.fixed_points]
-    floor, _ = _window(points, den)
+    xi = _direction(model)
+    points = [_PointData(fp, xi) for fp in model.fixed_points]
+    floor, _ = _window(points)
     return max(pd.base for pd in points) - floor
 
 
@@ -626,13 +662,18 @@ def test_combine_sums_the_coefficients_of_each_key(terms):
     assert dict(zip(out_keys.tolist(), out_coef.tolist())) == dict(want)
 
 
-def test_non_generic_direction():
-    # each of the five integral and four rational candidate directions for A2
-    # is orthogonal to one of these
+def test_a_series_past_its_bound_raises_expansion_too_large():
+    # h and its four nudges are each orthogonal to one of these, and the moment
+    # curve gives (5, 11), along which the nine factors would expand to a depth
+    # of over 10^5; the first factor past the bound stops before it is laid out
     tangents = [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"],
                 ["16", "-15"], ["66", "-65"], ["16391", "-16383"], ["4705", "-4753"]]
-    with pytest.raises(NonGenericDirection):
-        localized_index(one_point_model("A2", ["1", "1"], tangents))
+    model = one_point_model("A2", ["1", "1"], tangents)
+    assert _direction(model) == (5, 11)
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLarge, match=f"fixed bound of {2 ** 24} terms"):
+        localized_index(model)
+    assert time.perf_counter() - start < 1
 
 
 def test_model_fixed_points_must_be_fixed_point_data(a1):

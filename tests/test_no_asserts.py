@@ -2,13 +2,15 @@
 
 Guards on runtime paths are explicit raises: ``python -O`` strips ``assert``.
 Every answer is exact, so no float arithmetic appears anywhere in it.
-Every error class in ``errors.py`` is raised somewhere, so none lingers unused.
+Every error class in ``errors.py`` is raised somewhere, so none lingers unused,
+and named in some test, so none goes unexercised.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spindex"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spindex"
 
 
 def _nodes():
@@ -46,10 +48,25 @@ def _raised_name(node) -> str | None:
     return exc.attr if isinstance(exc, ast.Attribute) else None
 
 
-def test_every_error_class_is_raised():
+def _error_classes() -> set[str]:
     errors = ast.parse((PACKAGE / "errors.py").read_text())
-    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    return {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+
+
+def test_every_error_class_is_raised():
+    defined = _error_classes()
     raised = {_raised_name(node) for _, node in _nodes()
               if isinstance(node, ast.Raise) and node.exc is not None}
     assert defined, "no error classes found in errors.py"
     assert not defined - raised, f"error classes never raised: {sorted(defined - raised)}"
+
+
+def test_every_error_class_is_named_in_a_test():
+    defined = _error_classes()
+    named = set()
+    for path in TESTS.rglob("*.py"):
+        named |= {node.id if isinstance(node, ast.Name) else node.attr
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    assert defined, "no error classes found in errors.py"
+    assert not defined - named, f"error classes no test names: {sorted(defined - named)}"

@@ -45,6 +45,29 @@ def test_admissibility_requires_dominant(a2):
         is_admissible(weight([-1, 0]), a2)
 
 
+def test_admissibility_accepts_what_weight_accepts(a2):
+    # orbit_model, kirwan_contains and multiplicity read strings through weight(), as this does
+    assert is_admissible(("1/2", "0"), a2) and is_admissible(("3/2", "0"), a2)
+    assert not is_admissible(("1", "0"), a2)
+    assert is_admissible((1, 1), a2)
+
+
+def test_dominance_errors_print_coordinates(a2):
+    cases = [
+        (lambda: is_admissible(("-1", "2"), a2),
+         "admissibility test requires a dominant weight, got (-1,2)"),
+        (lambda: coadjoint_orbit(weight([Q(-1, 2), 2]), a2),
+         "orbit representative must be dominant, got (-1/2,2)"),
+        (lambda: CoadjointOrbit(weight([-1, 1]), face_from_vanishing_set(frozenset(), a2)),
+         "orbit representative must be dominant, got (-1,1)"),
+        (lambda: face_of(weight([0, -1]), a2), "face_of requires a dominant weight, got (0,-1)"),
+    ]
+    for call, text in cases:
+        with pytest.raises(NotDominant) as err:
+            call()
+        assert str(err.value) == text
+
+
 def test_orbit_index_family(a2):
     zero = orbit_spin_index(coadjoint_orbit(weight([Q(1, 2), 0]), a2), a2)
     assert zero.is_zero and zero == OrbitIndex.zero()
