@@ -3,14 +3,11 @@
 A virtual character is a finite integer combination of torus weights, stored
 as a sparse map keyed by exact coordinates.  Irreducible characters are built
 by exact division of alternating sums by the Weyl denominator, one binomial
-(1 - t^{-beta}) per positive root at a time, and decomposition into
-irreducibles runs two independent algorithms - antisymmetrization and peeling
-- whose agreement is enforced on every call.  Both run on the dominant
-chamber after the invariance check: a Weyl-invariant character is determined
-by its dominant weights, and the multiplicities are the strictly dominant
-coefficients of chi * A_rho.  The three steps run as builtin passes over one
-coordinate column per axis, not term by term; antisymmetrization gathers each
-multiplicity by lookups instead of scattering the products.
+(1 - t^{-beta}) per positive root at a time.  Decomposition builds none: after
+the invariance check, the multiplicities are the strictly dominant
+coefficients of chi * A_rho, gathered by lookups over one coordinate column
+per axis, and an exact evaluation of the Weyl character formula at a point
+of the torus over F_p confirms them on every call.
 
 Characters are indexed by infinitesimal character: ``pi(lam)`` has highest
 weight ``lam - rho``.
@@ -18,9 +15,9 @@ weight ``lam - rho``.
 
 from __future__ import annotations
 
-import heapq
+import random
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import prod
 from operator import add, and_, gt, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping
@@ -30,7 +27,6 @@ from .errors import (
     NotInShiftedLattice,
     NotRegularDominant,
     NotWeylInvariant,
-    NonDominantLeadingTerm,
 )
 from .roots import RootSystem, _orbit
 from .weights import (
@@ -44,6 +40,8 @@ from .weights import (
     wsub,
 )
 
+_PRIME = 2 ** 61 - 1  # the field of every exact evaluation at a point of the torus
+
 
 def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
     """Coefficients summed per weight, zeros dropped, keys as integer tuples."""
@@ -53,9 +51,10 @@ def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
         try:
             p = lattice_point(w)
         except ValueError:  # a coordinate that is not a number
-            p = None
+            raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight") from None
         if p is None:
-            raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight")
+            raise NotInShiftedLattice(
+                f"{what} ({format_weight(weight(w))}) is not a lattice weight")
         c = int(c)
         if c:
             acc[p] = acc.get(p, 0) + c
@@ -299,15 +298,6 @@ def dimension(lam: Weight, rs: RootSystem) -> int:
     return dim
 
 
-def _dominant_part(lam: tuple[int, ...], rs: RootSystem) -> dict[tuple[int, ...], int]:
-    """Dominant weights of chi_lam with their multiplicities; cached per root system."""
-    cached = rs.char_cache.get(("dominant", lam))
-    if cached is None:
-        cached = {w: c for w, c in weyl_character(lam, rs)._terms.items() if min(w) >= 0}
-        rs.char_cache[("dominant", lam)] = cached
-    return cached
-
-
 def _columns(terms: Iterable[tuple[int, ...]], rank: int) -> list[list[int]]:
     """Coordinate i of every key, in key order, for each axis i."""
     return [list(map(itemgetter(i), terms)) for i in range(rank)]
@@ -338,54 +328,6 @@ def _is_invariant(terms: dict, rs: RootSystem, cols: list[list[int]]) -> bool:
     return True
 
 
-def _peel(chi: VirtualCharacter, rs: RootSystem, cols: list | None = None) -> dict[Weight, int]:
-    """Decompose by repeatedly subtracting the top irreducible.
-
-    The leading weight is the maximal support weight in ``height_key``'s
-    (coroot height, lex) order, which makes the dominant member of each Weyl
-    orbit maximal.  Then only dominant weights are kept and subtracted, which
-    is exact for a Weyl-invariant chi since every chi_lam is invariant too: a
-    heap holds them, and a weight that a subtraction brings back is pushed again.
-    """
-    terms = chi._terms
-    if not terms:
-        return {}
-    cols = cols or _columns(terms, rs.rank)
-    heights = repeat(0)
-    for f, col in zip(rs._height_fun, cols):
-        heights = map(add, heights, map(mul, col, repeat(f)))
-    heights = list(heights)
-    top = max(zip(heights, terms))[1]
-    # Only a direct call can fail here: after the invariance check, top_i < 0 would put
-    # s_i(top) = top - top_i alpha_i, of height ht(top) - 2 top_i, in the support.
-    if min(top) < 0:
-        raise NonDominantLeadingTerm(
-            f"leading weight {top} is not dominant; not a character of the group")
-    dominant = _above(cols, repeat(-1))
-    rem = dict(compress(terms.items(), dominant))
-    # heapq pops its least entry, so negate height_key's (height, lex) order
-    heap = list(zip(map(neg, compress(heights, dominant)),
-                    zip(*[map(neg, compress(col, dominant)) for col in cols]), rem))
-    heapq.heapify(heap)
-    out: dict[Weight, int] = {}
-    while heap:
-        nu = heapq.heappop(heap)[-1]
-        c = rem.get(nu)
-        if c is None:
-            continue  # cancelled after it was pushed
-        lam = tuple(x + 1 for x in nu)  # nu + rho; rho = (1, ..., 1)
-        out[lam] = c
-        for w, m in _dominant_part(lam, rs).items():
-            left = rem.get(w, 0) - c * m
-            if not left:
-                del rem[w]
-                continue
-            if w not in rem:
-                heapq.heappush(heap, (-rs.height_key(w)[0], tuple(map(neg, w)), w))
-            rem[w] = left
-    return out
-
-
 def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem, cols: list | None = None) -> dict:
     """Multiplicities read off the strictly dominant part of chi * A_rho.
 
@@ -412,19 +354,62 @@ def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem, cols: list | None = N
     return dict(compress(zip(lams, mult), mult))
 
 
+def _at(y, x) -> int:
+    """The monomial t^x at the point y of the torus over F_p: prod_i y_i^{x_i} mod p."""
+    return prod(pow(yi, xi, _PRIME) for yi, xi in zip(y, x)) % _PRIME
+
+
+def _torus_point(rs: RootSystem) -> tuple:
+    """A seeded point y over F_p (redrawn while A_rho(y) = 0), the frames (sign(w),
+    [y^{w omega_j}]_j) of W from one walk of the rho orbit, and A_rho(y); cached."""
+    cached = rs.char_cache.get("point")
+    if cached is None:
+        images = {rs.rho: (1, [tuple(int(j == k) for k in range(rs.rank)) for j in range(rs.rank)])}
+        for x, (parent, i) in list(_orbit(rs, rs.rho).items())[1:]:
+            sign, omegas = images[parent]
+            images[x] = (-sign, [rs.reflect(i, w) for w in omegas])  # w omega_j = s_i(w' omega_j)
+        rng, a_rho = random.Random(0), 0
+        while not a_rho:
+            y = [rng.randrange(1, _PRIME) for _ in range(rs.rank)]
+            frames = [(sign, [_at(y, w) for w in omegas]) for sign, omegas in images.values()]
+            a_rho = _alternating_at({rs.rho: 1}, frames)
+        cached = rs.char_cache["point"] = (y, frames, a_rho)
+    return cached
+
+
+def _alternating_at(mult: dict, frames) -> int:
+    """sum_lam m_lam A_lam(y) mod p, with A_lam(y) = sum_w sign(w) prod_j z_{w,j}^{lam_j}."""
+    return sum(m * sign * prod(map(pow, z, lam, repeat(_PRIME)))
+               for lam, m in mult.items() for sign, z in frames) % _PRIME
+
+
+def _value_at(terms: dict, cols: list[list[int]], y: list[int]) -> int:
+    """chi(y) mod p for a Weyl-invariant chi: s_i negates axis i, so column i spans
+    [-n, n], and one table per axis holds y_i^k at index k, a negative k from its end."""
+    acc = terms.values()
+    for col, yi in zip(cols, y):
+        n = max(col, default=0)
+        table = list(accumulate(repeat(yi, 2 * n), lambda x, _: x * yi % _PRIME,
+                                initial=pow(yi, -n, _PRIME)))
+        acc = map(mul, acc, map((table[n:] + table[:n]).__getitem__, col))
+    return sum(acc) % _PRIME
+
+
 def decompose(chi: VirtualCharacter, rs: RootSystem) -> Decomposition:
     """Decompose a Weyl-invariant virtual character into irreducibles.
 
     Splits the weights into coordinate columns once, checks invariance under
-    the simple reflections on them, then runs peeling and the gathered
-    antisymmetrization on the dominant chamber independently and insists they
-    agree; a disagreement is a bug signal, never silently resolved.
+    the simple reflections on them and antisymmetrizes on the dominant chamber.
+    The Weyl character formula, chi(y) A_rho(y) = sum_lam m_lam A_lam(y) at a
+    seeded point y over F_p, confirms the answer on its own: a wrong
+    multiplicity passes with probability about (degree)/p, else MethodMismatch.
     """
-    cols = _columns(chi._terms, rs.rank)
-    if not _is_invariant(chi._terms, rs, cols):
+    terms = chi._terms
+    cols = _columns(terms, rs.rank)
+    if not _is_invariant(terms, rs, cols):
         raise NotWeylInvariant("input character is not Weyl-invariant")
-    by_peeling = _peel(chi, rs, cols)
-    by_antisym = _antisymmetrize(chi, rs, cols)
-    if by_peeling != by_antisym:
-        raise MethodMismatch(f"peeling gave {by_peeling} but antisymmetrization gave {by_antisym}")
-    return Decomposition(by_peeling)
+    mult = _antisymmetrize(chi, rs, cols)
+    y, frames, a_rho = _torus_point(rs)
+    if _value_at(terms, cols, y) * a_rho % _PRIME != _alternating_at(mult, frames):
+        raise MethodMismatch("antisymmetrization fails the Weyl character formula over F_p")
+    return Decomposition(mult)

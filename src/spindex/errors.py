@@ -51,10 +51,6 @@ class NotWeylInvariant(SpindexError):
     """A character fed to the decomposer is not Weyl-invariant."""
 
 
-class NonDominantLeadingTerm(SpindexError):
-    """Peeling found a leading weight that is not dominant."""
-
-
 class MethodMismatch(SpindexError):
     """Independent methods disagree, or an exact division leaves a remainder."""
 
@@ -64,7 +60,7 @@ class ParityViolation(SpindexError):
 
 
 class ExpansionTooLarge(SpindexError):
-    """A series of the localization expansion passed its fixed bound of 2^24 terms."""
+    """A series of the localization expansion, or its sum over fixed points, passed 2^24 terms."""
 
 
 class UnstableCutoff(SpindexError):

@@ -25,7 +25,8 @@ When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
 UnstableCutoff when it fails.  The size of a series is what limits the
 engine: one that would pass _SERIES_BOUND terms raises ExpansionTooLarge
-before it is laid out.
+before it is laid out, and so does a sum over fixed points before it is
+concatenated.
 
 Fixed points that share a multiset of oriented tangent weights (in an orbit
 model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
@@ -58,7 +59,7 @@ from operator import mul
 
 import numpy as np
 
-from .characters import VirtualCharacter
+from .characters import _PRIME, VirtualCharacter, _at
 from .errors import (
     ExpansionTooLarge,
     NotAdmissible,
@@ -92,9 +93,8 @@ from .weights import (
     wsub,
 )
 
-_PRIME = 2 ** 61 - 1  # the field of exact_cross_check
 _CANCELLATION_MARGIN = 5  # pairing depths below the support bound that must cancel
-_SERIES_BOUND = 2 ** 24  # terms of one expanded series
+_SERIES_BOUND = 2 ** 24  # terms of one series, and of the sum over fixed points before it merges
 
 _SHARED_ROOT_SYSTEMS: dict[str, RootSystem] = {}
 
@@ -463,7 +463,7 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     floor, result_floor = _window(points)
     top = max(pd.base for pd in points)
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
-    parts = []
+    parts, size = [], 0
     for oriented, members in groups.items():
         # floor < low, so every point has base > floor and at least one term
         deepest = max(pd.base for pd in members) - floor
@@ -472,6 +472,9 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
         for pd in members:
             # the terms of pd with pairing >= floor are a prefix of the shared series
             m = int(np.searchsorted(drop, pd.base - floor, side="right"))
+            if (size := size + m) > _SERIES_BOUND:
+                raise ExpansionTooLarge(f"the fixed-point sum of the expansion passes its fixed "
+                                        f"bound of {_SERIES_BOUND} terms")
             key0 = sum(c * s for c, s in zip(pd.nu, strides))
             parts.append((key0 - vkeys[:m], vcoef[:m] if pd.sign > 0 else -vcoef[:m]))
     keys, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
@@ -487,11 +490,6 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     # per term, as per-term lists would double the allocations that trigger
     # the cyclic garbage collector
     return VirtualCharacter._of(dict(zip(zip(*coords.T.tolist()), coef.tolist())))
-
-
-def _at(y: list[int], x) -> int:
-    """t^{x/2} at the point y of the torus over F_p: prod_i y_i^{x_i}."""
-    return math.prod(pow(yi, xi, _PRIME) for yi, xi in zip(y, x)) % _PRIME
 
 
 def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,

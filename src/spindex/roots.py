@@ -312,11 +312,6 @@ class RootSystem:
         """|W|, the size of the free orbit of rho."""
         return len(_orbit(self, (1,) * self.rank))
 
-    def height_key(self, w: Weight):
-        """Order key making the dominant member of each Weyl orbit maximal; lex tie-break."""
-        ht = sum(map(mul, self._height_fun, w))
-        return (ht, w)
-
 
 def _orbit(rs: RootSystem, x: Weight) -> dict[Weight, tuple[Weight | None, int]]:
     """Breadth-first walk of the Weyl orbit of x over the simple reflections.

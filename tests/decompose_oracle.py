@@ -1,23 +1,94 @@
-"""Tuple-at-a-time decomposition: an oracle for the tests.
+"""Decomposition oracles for the tests.
 
-``spindex.characters`` runs its invariance check, peel and antisymmetrization
-as builtin passes over per-axis coordinate columns.  Here the same three
+``spindex.characters`` checks invariance and antisymmetrizes as builtin
+passes over per-axis coordinate columns, then confirms the multiplicities by
+an exact evaluation of the Weyl character formula.  Here the same first two
 steps loop over the weight tuples one term at a time, the way the package did
-before the column passes; ``decompose`` below combines them with the same
-checks, in the same order, and raises the same error classes.
+before the column passes, and peeling is the second, independent method the
+package used before the evaluation: subtract the top irreducible, whose
+dominant weights come from ``weyl_character``.  ``column_peel`` is that peel
+as the package last ran it, over the columns; ``peel`` is the same steps one
+tuple at a time.  ``decompose`` below runs the tuple-at-a-time steps with the
+old checks, in the old order, and raises the same error classes.
 """
 
 import heapq
-from operator import add, gt
+from itertools import compress, repeat
+from operator import add, gt, mul, neg
 
-from spindex.characters import Decomposition, _dominant_part, weyl_denominator
-from spindex.errors import MethodMismatch, NonDominantLeadingTerm, NotWeylInvariant
+from spindex.characters import Decomposition, _above, _columns, weyl_character, weyl_denominator
+from spindex.errors import MethodMismatch, NotWeylInvariant, SpindexError
+
+
+class NonDominantLeadingTerm(SpindexError):
+    """Peeling found a leading weight that is not dominant."""
+
+
+def height_key(w, rs) -> tuple:
+    """Order key making the dominant member of each Weyl orbit maximal; lex tie-break."""
+    return sum(map(mul, rs._height_fun, w)), w
+
+
+def dominant_part(lam, rs) -> dict:
+    """Dominant weights of chi_lam with their multiplicities; cached per root system."""
+    cached = rs.char_cache.get(("dominant", lam))
+    if cached is None:
+        cached = {w: c for w, c in weyl_character(lam, rs)._terms.items() if min(w) >= 0}
+        rs.char_cache[("dominant", lam)] = cached
+    return cached
 
 
 def _heap_entry(w, rs) -> tuple:
     # heapq pops its least entry, so negate height_key's (height, lex) order
-    ht, _ = rs.height_key(w)
+    ht, _ = height_key(w, rs)
     return -ht, tuple(-x for x in w), w
+
+
+def column_peel(chi, rs, cols=None) -> dict:
+    """Decompose by repeatedly subtracting the top irreducible, in passes over the columns.
+
+    The leading weight is the maximal support weight in ``height_key``'s
+    (coroot height, lex) order, which makes the dominant member of each Weyl
+    orbit maximal.  Then only dominant weights are kept and subtracted, which
+    is exact for a Weyl-invariant chi since every chi_lam is invariant too: a
+    heap holds them, and a weight that a subtraction brings back is pushed again.
+    """
+    terms = chi._terms
+    if not terms:
+        return {}
+    cols = cols or _columns(terms, rs.rank)
+    heights = repeat(0)
+    for f, col in zip(rs._height_fun, cols):
+        heights = map(add, heights, map(mul, col, repeat(f)))
+    heights = list(heights)
+    top = max(zip(heights, terms))[1]
+    # after the invariance check, top_i < 0 would put s_i(top) = top - top_i
+    # alpha_i, of height ht(top) - 2 top_i, in the support
+    if min(top) < 0:
+        raise NonDominantLeadingTerm(
+            f"leading weight {top} is not dominant; not a character of the group")
+    dominant = _above(cols, repeat(-1))
+    rem = dict(compress(terms.items(), dominant))
+    heap = list(zip(map(neg, compress(heights, dominant)),
+                    zip(*[map(neg, compress(col, dominant)) for col in cols]), rem))
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        nu = heapq.heappop(heap)[-1]
+        c = rem.get(nu)
+        if c is None:
+            continue  # cancelled after it was pushed
+        lam = tuple(x + 1 for x in nu)  # nu + rho; rho = (1, ..., 1)
+        out[lam] = c
+        for w, m in dominant_part(lam, rs).items():
+            left = rem.get(w, 0) - c * m
+            if not left:
+                del rem[w]
+                continue
+            if w not in rem:
+                heapq.heappush(heap, _heap_entry(w, rs))
+            rem[w] = left
+    return out
 
 
 def is_weyl_invariant(chi, rs) -> bool:
@@ -37,7 +108,7 @@ def is_weyl_invariant(chi, rs) -> bool:
 def peel(chi, rs) -> dict:
     """Subtract the top irreducible on the dominant chamber, one heap entry per weight."""
     if chi:
-        top = max(chi._terms, key=rs.height_key)
+        top = max(chi._terms, key=lambda w: height_key(w, rs))
         if min(top) < 0:
             raise NonDominantLeadingTerm(
                 f"leading weight {top} is not dominant; not a character of the group")
@@ -52,7 +123,7 @@ def peel(chi, rs) -> dict:
             continue
         lam = tuple(x + 1 for x in nu)
         out[lam] = c
-        for w, m in _dominant_part(lam, rs).items():
+        for w, m in dominant_part(lam, rs).items():
             left = rem.get(w, 0) - c * m
             if not left:
                 del rem[w]

@@ -170,8 +170,8 @@ def test_criterion_6_numeric_oracle_and_perturbation_detection():
 
 
 def test_criterion_7_character_ring_property_suites():
-    with criterion(7, "Weyl-invariant localized indices; peeling agrees with "
-                      "antisymmetrization on 100 random virtual characters; "
+    with criterion(7, "Weyl-invariant localized indices; the evaluation over F_p "
+                      "confirms antisymmetrization on 100 random virtual characters; "
                       "dimension equals the value at the identity on a grid"):
         for model in _golden_models():
             assert localized_index(model).is_weyl_invariant(model.root_system)
@@ -184,7 +184,7 @@ def test_criterion_7_character_ring_property_suites():
             chi = VirtualCharacter.zero()
             for lam, c in coeffs.items():
                 chi = chi + c * weyl_character(lam, rs)
-            # decompose runs both methods and raises MethodMismatch on any split
+            # decompose checks its answer over F_p and raises MethodMismatch on a miss
             assert decompose(chi, rs) == Decomposition(coeffs)
 
         for label, top in (("A1", 6), ("A2", 3), ("A3", 2)):

@@ -19,16 +19,16 @@ from spindex import (
     weyl_character,
     weyl_denominator,
 )
-from spindex.characters import _alternating_sum, _antisymmetrize, _peel, divide_by_binomial
+from spindex.characters import _alternating_sum, _antisymmetrize, divide_by_binomial
 from spindex.errors import (
     MethodMismatch,
-    NonDominantLeadingTerm,
     NotInShiftedLattice,
     NotRegularDominant,
     NotWeylInvariant,
 )
 from spindex.weights import is_strictly_dominant, wadd, weight
 
+from decompose_oracle import NonDominantLeadingTerm, column_peel, height_key
 from weyl_oracle import act, simple_reflections, weyl_group
 
 # explicit weight lists for the two 3-dimensional A2 representations;
@@ -67,6 +67,16 @@ def test_lattice_errors_print_weights_as_coordinates(a2):
     with pytest.raises(NotInShiftedLattice) as err:
         dimension(("1/2", 1), a2)
     assert str(err.value) == "(1/2,1) has non-integer coordinates"
+
+
+def test_character_weight_errors_print_coordinates():
+    with pytest.raises(NotInShiftedLattice) as err:
+        VirtualCharacter({(Q(1, 2), 0): 1})
+    assert str(err.value) == "character weight (1/2,0) is not a lattice weight"
+    # a coordinate that is not a number keeps its repr
+    with pytest.raises(NotInShiftedLattice) as err:
+        VirtualCharacter({("x", 0): 1})
+    assert str(err.value) == "character weight ('x', 0) is not a lattice weight"
 
 
 def test_character_weights_must_be_integral():
@@ -149,10 +159,11 @@ def test_decompose_product_of_explicit_weight_lists(a2):
 
 def test_decompose_adjoint_regression(a2):
     # the adjoint orbit contains (2,-1), which is lex-greater than the dominant
-    # member (1,1); peeling must still find the dominant leading weight
+    # member (1,1); a peel must still find the dominant leading weight
     adj = weyl_character(weight([2, 2]), a2)
     assert max(adj.terms()) == weight([2, -1])  # the trap is present
     assert decompose(adj, a2) == Decomposition({weight([2, 2]): 1})
+    assert column_peel(adj, a2) == {weight([2, 2]): 1}
 
 
 def test_decompose_roundtrip_grid(a1, a2, a3):
@@ -196,7 +207,7 @@ def test_peel_rejects_non_dominant_leading_weight(a2):
     # the guard behind the invariance check: a lone anti-dominant monomial has
     # no dominant leading weight to peel at
     with pytest.raises(NonDominantLeadingTerm):
-        _peel(VirtualCharacter.monomial(weight([-1, -1])), a2)
+        column_peel(VirtualCharacter.monomial(weight([-1, -1])), a2)
 
 
 def test_peel_brings_back_a_cancelled_weight(a2):
@@ -206,7 +217,7 @@ def test_peel_brings_back_a_cancelled_weight(a2):
     assert chi.coefficient(weight([0, 1])) == 0
     assert weyl_character(weight([1, 2]), a2).coefficient(weight([0, 1])) == 1
     expected = {weight([3, 1]): 1, weight([1, 2]): -1}
-    assert _peel(chi, a2) == expected == _full_support_peel(chi, a2)
+    assert column_peel(chi, a2) == expected == _full_support_peel(chi, a2)
     assert decompose(chi, a2) == Decomposition(expected)
 
 
@@ -215,7 +226,7 @@ def _full_support_peel(chi, rs):
     rem = chi
     out = {}
     while rem:
-        nu = max(rem.terms(), key=rs.height_key)
+        nu = max(rem.terms(), key=lambda w: height_key(w, rs))
         if any(c < 0 for c in nu):
             raise NonDominantLeadingTerm(f"leading weight {nu} is not dominant")
         lam = wadd(nu, rs.rho)
@@ -239,7 +250,7 @@ def test_dominant_chamber_methods_match_the_full_support_oracles(label, mu):
 
 
 def test_dominant_chamber_decompose_matches_the_full_support_peel_on_su3():
-    # decompose also checks its own peel against its antisymmetrization
+    # decompose also checks its antisymmetrization by the evaluation over F_p
     for a in range(0, 41, 5):
         for b in range(0, 41, 5):
             model = su3_flag_bundle(a, b)

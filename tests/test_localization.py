@@ -676,6 +676,31 @@ def test_a_series_past_its_bound_raises_expansion_too_large():
     assert time.perf_counter() - start < 1
 
 
+def test_a_fixed_point_sum_past_the_bound_raises_before_it_is_concatenated():
+    # D4 (1,1,1,1): 192 points take prefixes of one 595,665-term series, 46.0M
+    # terms in all, where each series alone is under the bound
+    model = orbit_model(build_root_system("D4"), weight([1, 1, 1, 1]))
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLarge, match=f"fixed-point sum .* bound of {2 ** 24} terms"):
+        localized_index(model)
+    assert time.perf_counter() - start < 5
+
+
+def test_the_fixed_point_sum_may_reach_the_bound_but_not_pass_it(monkeypatch):
+    model = orbit_model(build_root_system("A2"), weight([2, 1]))
+    sizes = []
+    combine = localization._combine
+    monkeypatch.setattr(localization, "_combine",
+                        lambda keys, coef: sizes.append(len(keys)) or combine(keys, coef))
+    chi = localized_index(model)
+    # the series is kept on the root system now, so only the sum meets the bound
+    monkeypatch.setattr(localization, "_SERIES_BOUND", sizes[0])
+    assert localized_index(model) == chi
+    monkeypatch.setattr(localization, "_SERIES_BOUND", sizes[0] - 1)
+    with pytest.raises(ExpansionTooLarge, match="fixed-point sum"):
+        localized_index(model)
+
+
 def test_model_fixed_points_must_be_fixed_point_data(a1):
     model = orbit_model(a1, weight([1]))
     fake = (model.fixed_points[0].label, model.fixed_points[0].det_weight,
