@@ -50,7 +50,7 @@ def _lattice_terms(terms, what: str) -> dict[tuple[int, ...], int]:
         # integer tuples hash like the Fraction form and keep hot loops on machine integers
         try:
             p = lattice_point(w)
-        except ValueError:  # a coordinate that is not a number
+        except (ValueError, TypeError, OverflowError):  # a coordinate that is not a finite number
             raise NotInShiftedLattice(f"{what} {tuple(w)} is not a lattice weight") from None
         if p is None:
             raise NotInShiftedLattice(
@@ -384,14 +384,14 @@ def _alternating_at(mult: dict, frames) -> int:
 
 
 def _value_at(terms: dict, cols: list[list[int]], y: list[int]) -> int:
-    """chi(y) mod p for a Weyl-invariant chi: s_i negates axis i, so column i spans
-    [-n, n], and one table per axis holds y_i^k at index k, a negative k from its end."""
+    """sum_w c_w prod_i y_i^{w_i} mod p: one table per axis holds y_i^k for k from
+    min(0, low) to max(0, high) of column i, at index k, a negative k from its end."""
     acc = terms.values()
     for col, yi in zip(cols, y):
-        n = max(col, default=0)
-        table = list(accumulate(repeat(yi, 2 * n), lambda x, _: x * yi % _PRIME,
-                                initial=pow(yi, -n, _PRIME)))
-        acc = map(mul, acc, map((table[n:] + table[:n]).__getitem__, col))
+        low, high = min(0, min(col, default=0)), max(0, max(col, default=0))
+        table = list(accumulate(repeat(yi, high - low), lambda x, _: x * yi % _PRIME,
+                                initial=pow(yi, low, _PRIME)))
+        acc = map(mul, acc, map((table[-low:] + table[:-low]).__getitem__, col))
     return sum(acc) % _PRIME
 
 

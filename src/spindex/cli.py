@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except SpindexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # inputs under the size bounds may still pass a memory cap
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ class ParityViolation(SpindexError):
 
 
 class ExpansionTooLarge(SpindexError):
-    """A series of the localization expansion, or its sum over fixed points, passed 2^24 terms."""
+    """An expansion series or fixed-point sum passed 2^24 terms, 62-bit words or int64 sums."""
 
 
 class UnstableCutoff(SpindexError):

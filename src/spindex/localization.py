@@ -25,8 +25,8 @@ When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
 UnstableCutoff when it fails.  The size of a series is what limits the
 engine: one that would pass _SERIES_BOUND terms raises ExpansionTooLarge
-before it is laid out, and so does a sum over fixed points before it is
-concatenated.
+before it is laid out, and so does a sum over fixed points before its
+buffer is allocated.
 
 Fixed points that share a multiset of oriented tangent weights (in an orbit
 model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
@@ -43,9 +43,9 @@ checked at construction: it is exactly what makes every exponent above land in
 the weight lattice.
 
 All exponent bookkeeping runs on packed int64 lattice keys under numpy, with
-explicit bound checks so the arithmetic stays exact.  The sum over fixed points
-carries a key and a coefficient per term; one unstable sort by key merges them
-(equal keys are summed), and pairings with xi are computed only for survivors.
+explicit bound checks so the arithmetic stays exact.  Each term of the sum over
+fixed points is one word, key above coefficient (_word_bits), so one in-place
+sort merges them, and pairings with xi are computed only for survivors.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from operator import mul
 
 import numpy as np
 
-from .characters import _PRIME, VirtualCharacter, _at
+from .characters import _PRIME, VirtualCharacter, _at, _columns, _value_at
 from .errors import (
     ExpansionTooLarge,
     NotAdmissible,
@@ -429,17 +429,24 @@ def _series(rs: RootSystem, oriented, pairs, depth: int) -> tuple[np.ndarray, np
     return coords[:m], drop[:m], coef[:m]
 
 
-def _combine(keys, coef):
-    """Unique keys in ascending order with summed coefficients; the sort need not be stable."""
-    if len(keys) == 0:
-        return keys, coef
-    order = np.argsort(keys)
-    keys, coef = keys[order], coef[order]
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+def _word_bits(half: int, cmax: int, size: int) -> int:
+    """b for the merge words ((key + half) << b) + (coefficient + cmax) of size terms."""
+    b = (2 * cmax).bit_length()
+    if (bits := (2 * half).bit_length() + b) > 62 or cmax * size >= 2 ** 63:
+        raise ExpansionTooLarge(f"the fixed-point sum of {size} terms needs {bits}-bit words and "
+                                f"sums up to {cmax * size}, past 62 bits or int64")
+    return b
+
+
+def _merge(words, half: int, cmax: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique keys in ascending order with summed coefficients; sorts the words in place."""
+    words.sort()
+    coef = (words & ((1 << b) - 1)) - cmax
+    words >>= b
+    fresh = np.ones(len(words), dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    return keys[starts], np.add.reduceat(coef, starts)
+    return words[starts] - half, np.add.reduceat(coef, starts)
 
 
 def localized_index(model: ManifoldModel) -> VirtualCharacter:
@@ -463,21 +470,29 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     floor, result_floor = _window(points)
     top = max(pd.base for pd in points)
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
-    parts, size = [], 0
+    half = sum(map(mul, bounds, strides))
+    series, size, cmax = [], 0, 0
     for oriented, members in groups.items():
         # floor < low, so every point has base > floor and at least one term
         deepest = max(pd.base for pd in members) - floor
         coords, drop, vcoef = _series(model.root_system, oriented, pairs[oriented], deepest)
-        vkeys = coords @ np.array(strides, dtype=np.int64)
-        for pd in members:
-            # the terms of pd with pairing >= floor are a prefix of the shared series
-            m = int(np.searchsorted(drop, pd.base - floor, side="right"))
-            if (size := size + m) > _SERIES_BOUND:
-                raise ExpansionTooLarge(f"the fixed-point sum of the expansion passes its fixed "
-                                        f"bound of {_SERIES_BOUND} terms")
-            key0 = sum(c * s for c, s in zip(pd.nu, strides))
-            parts.append((key0 - vkeys[:m], vcoef[:m] if pd.sign > 0 else -vcoef[:m]))
-    keys, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
+        # the terms of a point with pairing >= floor are a prefix of the shared series
+        ms = np.searchsorted(drop, [pd.base - floor for pd in members], side="right").tolist()
+        if (size := size + sum(ms)) > _SERIES_BOUND:
+            raise ExpansionTooLarge(f"the fixed-point sum of the expansion passes its fixed "
+                                    f"bound of {_SERIES_BOUND} terms")
+        cmax = max(cmax, int(np.abs(vcoef).max()))
+        series.append((coords @ np.array(strides, dtype=np.int64), vcoef, members, ms))
+    b = _word_bits(half, cmax, size)
+    words, pos = np.empty(size, dtype=np.int64), 0
+    for vkeys, vcoef, members, ms in series:
+        # |vkey| <= half and 2 half < 2^(62 - b): every prefix and word lies inside int64
+        prefix = {sign: sign * vcoef - (vkeys << b) for sign in {pd.sign for pd in members}}
+        for pd, m in zip(members, ms):
+            key0 = sum(map(mul, pd.nu, strides))
+            np.add(prefix[pd.sign][:m], ((key0 + half) << b) + cmax, out=words[pos:pos + m])
+            pos += m
+    keys, coef = _merge(words, half, cmax, b)
     live = coef != 0
     # a key fixes its weight, so pairings are needed only for the terms that survive
     coords, coef = _unpack(keys[live], bounds, strides), coef[live]
@@ -503,6 +518,9 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
     """
     if trials < 1:
         raise SpindexError(f"the cross-check needs at least one trial, got {trials}")
+    for w in {len(w): w for w in chi._terms}.values():  # one weight of each length
+        model.root_system.check_rank(w, "exact_cross_check")
+    cols = _columns(chi._terms, model.root_system.rank)
     rng = random.Random(seed)
     for _ in range(trials):
         while True:
@@ -514,7 +532,7 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
         for fp in model.fixed_points:
             den = math.prod(sines[a] for a in fp.tangent_weights) % _PRIME
             lhs += _at(y, fp.det_weight) * pow(den, -1, _PRIME)
-        rhs = sum(c * _at(y, [2 * x for x in w]) for w, c in chi.terms().items())
+        rhs = _value_at(chi._terms, cols, [yi * yi % _PRIME for yi in y])
         if (lhs - rhs) % _PRIME:
             return False
     return True

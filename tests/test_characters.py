@@ -77,6 +77,12 @@ def test_character_weight_errors_print_coordinates():
     with pytest.raises(NotInShiftedLattice) as err:
         VirtualCharacter({("x", 0): 1})
     assert str(err.value) == "character weight ('x', 0) is not a lattice weight"
+    with pytest.raises(NotInShiftedLattice) as err:
+        VirtualCharacter({(float("inf"), 0): 1})
+    assert str(err.value) == "character weight (inf, 0) is not a lattice weight"
+    with pytest.raises(NotInShiftedLattice) as err:
+        VirtualCharacter({(None, 0): 1})
+    assert str(err.value) == "character weight (None, 0) is not a lattice weight"
 
 
 def test_character_weights_must_be_integral():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spindex import build_root_system, model_to_json_obj, orbit_model
+from spindex import build_root_system, cli, model_to_json_obj, orbit_model
 from spindex.cli import main
 
 
@@ -184,6 +184,19 @@ def test_an_expansion_past_its_bound_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: a series of the expansion passes its fixed bound of {2 ** 24} terms\n"
+
+
+@pytest.mark.parametrize("exc,text", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8 GiB"), "error: out of memory (Unable to allocate 8 GiB)\n"),
+])
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, exc, text):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "faces", exhausted)
+    code, out, err = run(capsys, "faces", "--group", "A2")
+    assert (code, out, err) == (2, "", text)
 
 
 @pytest.mark.parametrize("kirwan,text", [

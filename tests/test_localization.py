@@ -33,6 +33,7 @@ from spindex import (
     weyl_character,
 )
 from spindex import localization
+from spindex.characters import _PRIME, _at, _columns, _value_at
 from spindex.errors import (
     ExpansionTooLarge,
     NotAdmissible,
@@ -57,6 +58,7 @@ from spindex.localization import (
 )
 from spindex.weights import weight, wscale
 
+from test_decompose_check import _orbit_grid, _su3_pool
 from weyl_oracle import weyl_group
 
 
@@ -638,7 +640,29 @@ def test_unstable_cutoff_raises():
             f"{count} terms below its support bound do not cancel")
 
 
-_wide_ints = st.integers(-2 ** 40, 2 ** 40)
+def _combine_by_argsort(keys, coef):
+    """The oracle merge: unique keys in ascending order with summed coefficients."""
+    if len(keys) == 0:
+        return keys, coef
+    order = np.argsort(keys)
+    keys, coef = keys[order], coef[order]
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return keys[starts], np.add.reduceat(coef, starts)
+
+
+def _merged_words(terms):
+    """The engine's merge of (key, coefficient) terms, laid out as its words."""
+    half = max((abs(k) for k, _ in terms), default=0)
+    cmax = max((abs(c) for _, c in terms), default=0)
+    b = localization._word_bits(half, cmax, len(terms))
+    words = np.array([((k + half) << b) + c + cmax for k, c in terms], dtype=np.int64)
+    return localization._merge(words, half, cmax, b)
+
+
+_wide_ints = st.integers(-2 ** 29, 2 ** 29)  # 31 key bits and 31 coefficient bits
 
 
 @settings(max_examples=200, deadline=None)
@@ -651,15 +675,40 @@ _wide_ints = st.integers(-2 ** 40, 2 ** 40)
         lambda ts: ts + [(k, -c) for k, c in ts]),  # every key cancels
 ))
 def test_combine_sums_the_coefficients_of_each_key(terms):
-    keys = np.array([k for k, _ in terms], dtype=np.int64)
-    coef = np.array([c for _, c in terms], dtype=np.int64)
-    out_keys, out_coef = localization._combine(keys, coef)
+    out_keys, out_coef = _merged_words(terms)
     assert out_keys.dtype == np.int64 and out_coef.dtype == np.int64
-    assert np.all(out_keys[1:] > out_keys[:-1])  # sorted and unique
+    want_keys, want_coef = _combine_by_argsort(np.array([k for k, _ in terms], dtype=np.int64),
+                                               np.array([c for _, c in terms], dtype=np.int64))
+    assert out_keys.tolist() == want_keys.tolist()  # sorted and unique
+    assert out_coef.tolist() == want_coef.tolist()
     want = Counter()
     for k, c in terms:
         want[k] += c
     assert dict(zip(out_keys.tolist(), out_coef.tolist())) == dict(want)
+
+
+def test_merge_words_may_take_62_bits_but_not_63():
+    # 2 half = 2^31 - 2 takes 31 bits and 2 cmax = 2^31 - 2 another 31
+    half = cmax = 2 ** 30 - 1
+    terms = [(-half, cmax), (half, -cmax), (-half, -cmax), (half, -cmax), (0, cmax), (-half, 1)]
+    keys, coef = _merged_words(terms)
+    assert (keys.tolist(), coef.tolist()) == ([-half, 0, half], [1, cmax, -2 * cmax])
+    # the budget needs only the sizes, so it is checked before 2^32 words,
+    # which would not fit in memory, are allocated; their coefficient sums
+    # stay below 2^63, so only the word size fails
+    for half, cmax in ((2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30)):
+        with pytest.raises(ExpansionTooLarge) as err:
+            localization._word_bits(half, cmax, 2 ** 32)
+        assert str(err.value) == (f"the fixed-point sum of {2 ** 32} terms needs 63-bit words "
+                                  f"and sums up to {cmax * 2 ** 32}, past 62 bits or int64")
+
+
+def test_merge_words_refuse_coefficient_sums_that_could_pass_int64():
+    assert localization._word_bits(1, 2 ** 39 - 1, 2 ** 24) == 40
+    with pytest.raises(ExpansionTooLarge, match=f"needs 43-bit words and sums up to {2 ** 63},"):
+        localization._word_bits(1, 2 ** 39, 2 ** 24)
+    with pytest.raises(ExpansionTooLarge, match="past 62 bits or int64"):
+        localization._word_bits(0, 2 ** 20, 2 ** 43)
 
 
 def test_a_series_past_its_bound_raises_expansion_too_large():
@@ -689,9 +738,9 @@ def test_a_fixed_point_sum_past_the_bound_raises_before_it_is_concatenated():
 def test_the_fixed_point_sum_may_reach_the_bound_but_not_pass_it(monkeypatch):
     model = orbit_model(build_root_system("A2"), weight([2, 1]))
     sizes = []
-    combine = localization._combine
-    monkeypatch.setattr(localization, "_combine",
-                        lambda keys, coef: sizes.append(len(keys)) or combine(keys, coef))
+    word_bits = localization._word_bits
+    monkeypatch.setattr(localization, "_word_bits",
+                        lambda half, cmax, size: sizes.append(size) or word_bits(half, cmax, size))
     chi = localized_index(model)
     # the series is kept on the root system now, so only the sum meets the bound
     monkeypatch.setattr(localization, "_SERIES_BOUND", sizes[0])
@@ -721,6 +770,8 @@ def test_exact_cross_check(a1):
 
     with pytest.raises(SpindexError):
         exact_cross_check(model, chi, trials=0)
+    with pytest.raises(SpindexError, match="needs a rank-1 weight for A1, got rank 2"):
+        exact_cross_check(model, chi + VirtualCharacter.monomial((0, 0)))
 
 
 def test_exact_cross_check_redraws_singular_points(a1, monkeypatch):
@@ -740,6 +791,32 @@ def test_exact_cross_check_redraws_singular_points(a1, monkeypatch):
     chi = localized_index(model)
     assert exact_cross_check(model, chi, trials=1)
     assert not exact_cross_check(model, chi + VirtualCharacter.monomial(weight([0])), trials=1)
+
+
+def test_exact_cross_check_agrees_with_a_per_term_evaluation_on_both_pools():
+    # the power tables give what one pow per coordinate of every term gave,
+    # every localized character passes and a unit change of one coefficient fails
+    rng = random.Random(5)
+    su3 = [model for _, model in _su3_pool()][::17]
+    for model in [model for _, model in _orbit_grid()] + su3:
+        chi = localized_index(model)
+        rank = model.root_system.rank
+        y = [rng.randrange(1, _PRIME) for _ in range(rank)]
+        want = sum(c * _at(y, [2 * x for x in w]) for w, c in chi.terms().items()) % _PRIME
+        got = _value_at(chi._terms, _columns(chi._terms, rank), [yi * yi % _PRIME for yi in y])
+        assert got == want, model.name
+        assert exact_cross_check(model, chi, trials=1, seed=rng.randrange(99)), model.name
+        w = rng.choice(sorted(chi.terms())) if chi.terms() else (0,) * rank
+        wrong = chi + VirtualCharacter({w: rng.choice((1, -1))})
+        assert not exact_cross_check(model, wrong, trials=1, seed=rng.randrange(99)), model.name
+
+
+def test_exact_cross_check_takes_one_power_table_per_axis():
+    model = su3_flag_bundle(200, 400)
+    chi = localized_index(model)
+    start = time.perf_counter()
+    assert exact_cross_check(model, chi, trials=20)
+    assert time.perf_counter() - start < 2
 
 
 def test_model_json_round_trip(tmp_path):
