@@ -385,13 +385,18 @@ def _alternating_at(mult: dict, frames) -> int:
 
 def _value_at(terms: dict, cols: list[list[int]], y: list[int]) -> int:
     """sum_w c_w prod_i y_i^{w_i} mod p: one table per axis holds y_i^k for k from
-    min(0, low) to max(0, high) of column i, at index k, a negative k from its end."""
+    low to high of column i.  A span with low <= 0 <= high + 1, as every
+    Weyl-invariant column has, is rotated and indexed by k, a negative k from its
+    end; any other span is indexed by k - low."""
     acc = terms.values()
     for col, yi in zip(cols, y):
-        low, high = min(0, min(col, default=0)), max(0, max(col, default=0))
+        low, high = min(col, default=0), max(col, default=0)
         table = list(accumulate(repeat(yi, high - low), lambda x, _: x * yi % _PRIME,
                                 initial=pow(yi, low, _PRIME)))
-        acc = map(mul, acc, map((table[-low:] + table[:-low]).__getitem__, col))
+        if low <= 0 <= high + 1:
+            acc = map(mul, acc, map((table[-low:] + table[:-low]).__getitem__, col))
+        else:
+            acc = map(mul, acc, map(table.__getitem__, map(sub, col, repeat(low))))
     return sum(acc) % _PRIME
 
 

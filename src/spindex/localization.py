@@ -514,7 +514,10 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
     Each trial evaluates both sides at a seeded point where t^{x/2} =
     prod_i y_i^{x_i}, defined for every integral x, and redraws the point if a
     tangent denominator is 0 mod p.  A wrong chi passes one trial with
-    probability about (degree of the difference) / p.
+    probability about (degree of the difference) / p.  The character side takes
+    one multiplication per entry of a power table over the span [min, max] of
+    each coordinate column, so a sparse chi whose span far exceeds its term
+    count costs its span, not its terms.
     """
     if trials < 1:
         raise SpindexError(f"the cross-check needs at least one trial, got {trials}")

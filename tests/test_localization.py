@@ -662,16 +662,19 @@ def _merged_words(terms):
     return localization._merge(words, half, cmax, b)
 
 
-_wide_ints = st.integers(-2 ** 29, 2 ** 29)  # 31 key bits and 31 coefficient bits
+_wide_coef = st.integers(-2 ** 47, 2 ** 47)  # 49 coefficient bits, as _expand_series allows
 
 
 @settings(max_examples=200, deadline=None)
 @example([])
 @example([(-3, 7)])
+@example([(-2 ** 18, 2 ** 40), (2 ** 18, -2 ** 40)])  # 20 key bits and 42 coefficient bits
 @given(st.one_of(
-    st.lists(st.tuples(st.integers(-6, 6), _wide_ints), max_size=60),  # many duplicate keys
-    st.lists(st.tuples(_wide_ints, _wide_ints), max_size=3),
-    st.lists(st.tuples(st.integers(-6, 6), _wide_ints), max_size=30).map(
+    st.lists(st.tuples(st.integers(-6, 6), _wide_coef), max_size=60),  # many duplicate keys
+    # wide keys, lopsided toward the coefficients like the engine's layouts: at most 62 bits
+    st.lists(st.tuples(st.integers(-2 ** 18, 2 ** 18), st.integers(-2 ** 40, 2 ** 40)),
+             max_size=3),
+    st.lists(st.tuples(st.integers(-6, 6), _wide_coef), max_size=30).map(
         lambda ts: ts + [(k, -c) for k, c in ts]),  # every key cancels
 ))
 def test_combine_sums_the_coefficients_of_each_key(terms):
@@ -809,6 +812,17 @@ def test_exact_cross_check_agrees_with_a_per_term_evaluation_on_both_pools():
         w = rng.choice(sorted(chi.terms())) if chi.terms() else (0,) * rank
         wrong = chi + VirtualCharacter({w: rng.choice((1, -1))})
         assert not exact_cross_check(model, wrong, trials=1, seed=rng.randrange(99)), model.name
+
+
+def test_power_tables_span_only_the_values_of_each_column():
+    # a column that misses 0 gets a table over [min, max], not one widened to 0
+    y = [3, 5]
+    for terms in ({(10 ** 8, -10 ** 8): 2}, {(7, -9): 1, (4, -5): -3, (-1, 2): 1},
+                  {(-3, 0): 1, (-2, -1): 4}, {(-3, -1): 1, (-1, -4): 2}):
+        want = sum(c * _at(y, w) for w, c in terms.items()) % _PRIME
+        start = time.perf_counter()
+        assert _value_at(terms, _columns(terms, 2), y) == want
+        assert time.perf_counter() - start < 0.1
 
 
 def test_exact_cross_check_takes_one_power_table_per_axis():
