@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import prod
 from operator import add, and_, gt, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping
@@ -384,19 +384,16 @@ def _alternating_at(mult: dict, frames) -> int:
 
 
 def _value_at(terms: dict, cols: list[list[int]], y: list[int]) -> int:
-    """sum_w c_w prod_i y_i^{w_i} mod p: one table per axis holds y_i^k for k from
-    low to high of column i.  A span with low <= 0 <= high + 1, as every
-    Weyl-invariant column has, is rotated and indexed by k, a negative k from its
-    end; any other span is indexed by k - low."""
+    """sum_w c_w prod_i y_i^{w_i} mod p: one table per axis holds y_i^k for each
+    distinct k of column i, walked in order with one pow per gap, so a term
+    costs one lookup per axis whatever the span of its column."""
     acc = terms.values()
     for col, yi in zip(cols, y):
-        low, high = min(col, default=0), max(col, default=0)
-        table = list(accumulate(repeat(yi, high - low), lambda x, _: x * yi % _PRIME,
-                                initial=pow(yi, low, _PRIME)))
-        if low <= 0 <= high + 1:
-            acc = map(mul, acc, map((table[-low:] + table[:-low]).__getitem__, col))
-        else:
-            acc = map(mul, acc, map(table.__getitem__, map(sub, col, repeat(low))))
+        table, x, last = {}, 1, 0
+        for k in sorted(set(col)):
+            table[k] = x = x * pow(yi, k - last, _PRIME) % _PRIME
+            last = k
+        acc = map(mul, acc, map(table.__getitem__, col))
     return sum(acc) % _PRIME
 
 

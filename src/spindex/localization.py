@@ -11,16 +11,11 @@ direction xi (each flip contributes a sign), expanding each inverted factor as
 a geometric series t^{-alpha/2} sum_k t^{-k alpha}, truncating at a pairing
 depth along xi, and summing over fixed points.  The depth reaches a few steps
 past a two-sided bound on the support of the sum, so it follows from the
-model, and so does the direction.  That is h = 2 rho-check whenever h is
-generic, which it is for every orbit model because their tangent weights are
-roots; keeping h there leaves their expansions as they are, where choosing by
-cost moved many of them and saved no time beyond run-to-run noise.
-Otherwise it is the generic nudge h + k e_i (k = 1, 2) with the fewest
-predicted series terms, a count that needs only pairings with xi.  Failing
-that, it is the first generic point h + (k, k^2, ..., k^r), k = 1, 2, ..., of
-the moment curve: a nonzero tangent weight pairs with it to a nonzero
-polynomial in k of degree at most r, so each tangent weight rules out at most
-r values of k and the search always ends.
+model, and so does the direction: the first generic point
+h + (k, k^2, ..., k^r), k = 0, 1, 2, ..., of the moment curve through
+h = 2 rho-check.  k = 0 gives h, which is generic for every orbit model, as
+their tangent weights are roots.  Every generic direction expands to the
+same character.
 When the sum is a finite character, every term below that bound cancels
 across fixed points; the engine checks this over a fixed margin and raises
 UnstableCutoff when it fails.  The size of a series is what limits the
@@ -230,12 +225,6 @@ class ManifoldModel:
 # -- expansion direction ------------------------------------------------------
 
 
-def _integral_candidates(rs: RootSystem) -> list[tuple[int, ...]]:
-    """h = 2 rho-check, then its nudges h + k e_i for k = 1, 2."""
-    h = rs._height_fun
-    return [h] + [h[:i] + (h[i] + k,) + h[i + 1:] for k in (1, 2) for i in range(rs.rank)]
-
-
 def _tangent_set(model: ManifoldModel) -> set[tuple[int, ...]]:
     return {a for fp in model.fixed_points for a in fp.tangent_weights}
 
@@ -249,41 +238,19 @@ def _is_generic(xi: tuple[int, ...], tangents) -> bool:
 
 
 def _direction(model: ManifoldModel) -> tuple[int, ...]:
-    """h when it pairs nonzero against every tangent weight, as it does for orbit models.
+    """The first generic point h + (k, k^2, ..., k^r), k = 0, 1, 2, ..., of the moment curve.
 
-    Otherwise the generic nudge of h with the fewest predicted series terms.
-    Failing that, the first generic point h + (k, k^2, ..., k^r), k = 1, 2, ...,
-    of the moment curve.  A nonzero tangent weight a pairs with that point to
-    <a, h> + sum_i a_i k^i, a nonzero polynomial in k of degree at most r, so
-    a rules out at most r values of k and a generic point turns up by
-    k = r * (number of tangent weights) + 1.
+    k = 0 is h = 2 rho-check, generic for every orbit model.  A nonzero
+    tangent weight a pairs with the point to <a, h> + sum_i a_i k^i, a nonzero
+    polynomial in k of degree at most r, so a rules out at most r values of k
+    and a generic point turns up by k = r * (number of tangent weights).
     """
-    rs = model.root_system
+    h = model.root_system._height_fun
     tangents = _tangent_set(model)
-    h, *nudges = _integral_candidates(rs)
-    if _is_generic(h, tangents):
-        return h
-    generic = [xi for xi in nudges if _is_generic(xi, tangents)]
-    if generic:
-        return min(generic, key=lambda xi: _predicted_terms(model, xi))
-    for k in itertools.count(1):
+    for k in itertools.count():
         xi = tuple(c + k ** i for i, c in enumerate(h, 1))
         if _is_generic(xi, tangents):
             return xi
-
-
-def _predicted_terms(model: ManifoldModel, xi: tuple[int, ...]) -> Fraction:
-    """The size of the expansion along a generic xi, up to constant factors.
-
-    A point whose k oriented tangent weights pair to n_j with xi has about
-    (base - floor)^k / (k! prod_j n_j) series terms above the floor; k is the
-    same at every candidate, so the k! is left out.
-    """
-    points = [_PointData(fp, xi) for fp in model.fixed_points]
-    floor, _ = _window(points)
-    return sum(Fraction((pd.base - floor) ** len(pd.oriented),
-                        math.prod(_pair(a, xi) for a in pd.oriented))
-               for pd in points)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -453,7 +420,8 @@ def localized_index(model: ManifoldModel) -> VirtualCharacter:
     """Equivariant index of the model as a finite virtual character.
 
     Raises ExpansionTooLarge when a series passes its fixed bound, and
-    UnstableCutoff when the fixed-point sum is not a finite character.
+    UnstableCutoff when terms below the support bound fail to cancel: necessary
+    but not sufficient for a finite sum, which exact_cross_check decides.
     """
     if not model.fixed_points:
         return VirtualCharacter.zero()
@@ -515,9 +483,8 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
     prod_i y_i^{x_i}, defined for every integral x, and redraws the point if a
     tangent denominator is 0 mod p.  A wrong chi passes one trial with
     probability about (degree of the difference) / p.  The character side takes
-    one multiplication per entry of a power table over the span [min, max] of
-    each coordinate column, so a sparse chi whose span far exceeds its term
-    count costs its span, not its terms.
+    one power table per coordinate column, at the distinct values of the
+    column only, so a sparse chi costs its terms, not its span.
     """
     if trials < 1:
         raise SpindexError(f"the cross-check needs at least one trial, got {trials}")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .characters import Decomposition, decompose
 from .errors import (
-    NotAdmissible,
     NotRegularDominant,
     ProviderInvalid,
     ProviderMissingOrbit,
@@ -32,7 +31,7 @@ from .localization import (
     kirwan_faces_met,
     localized_index,
 )
-from .orbits import CoadjointOrbit, OrbitIndex, coadjoint_orbit, is_admissible, orbit_spin_index
+from .orbits import CoadjointOrbit, OrbitIndex, is_admissible, orbit_spin_index
 from .roots import Face, RootSystem, face_from_vanishing_set, stabilizer_class_of_face
 from .weights import (
     Weight,
@@ -196,10 +195,8 @@ def multiplicity(model: ManifoldModel, lam: Weight, provider) -> int:
             continue
         if not kirwan_contains(model.kirwan, mu, rs):
             continue
-        orbit = coadjoint_orbit(mu, rs)
-        if not is_admissible(orbit.mu, rs):
-            raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
-        total += provider.reduced_index(orbit, model)
+        # mu - rho + rho_sigma = lam - rho is integral, so the orbit is admissible
+        total += provider.reduced_index(CoadjointOrbit(mu, face), model)
     return total
 
 

@@ -170,9 +170,31 @@ def test_index_of_a_sum_that_is_not_a_finite_character_exits_2(capsys, tmp_path)
     assert "do not sum to a finite character" in err
 
 
+def test_index_checks_one_trial_without_cross_check(capsys, tmp_path, monkeypatch):
+    # 1/(1 - t^-8) is not finite, but its first uncancelled term below the
+    # support bound lies 16 pairing levels down, past the checked margin, so
+    # the engine returns t^0 + t^-8 and only the cross-check sees it
+    model = tmp_path / "a1-not-finite.json"
+    model.write_text(json.dumps({
+        "name": "a1-not-finite", "group": "A1", "generic_stabilizer": [[]], "kirwan": [],
+        "fixed_points": [{"label": "p", "det_weight": ["8"], "tangent_weights": [["8"]]}],
+    }))
+    code, out, err = run(capsys, "index", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert err == "error: cross-check failed: a1-not-finite differs from its fixed-point sum\n"
+    calls = []
+    exact = cli.exact_cross_check
+    monkeypatch.setattr(cli, "exact_cross_check",
+                        lambda *args: calls.append(args[2:]) or exact(*args))
+    code, out, err = run(capsys, "index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3")
+    assert (code, err, calls) == (0, "", [(1, 0)])
+    assert "cross-check" not in out
+
+
 def test_an_expansion_past_its_bound_exits_2(capsys, tmp_path):
-    # no integral nudge of h is generic for these tangent weights; along the
-    # moment-curve direction (5, 11) one series would pass its 2^24-term bound
+    # h and the next two points of the moment curve are each orthogonal to one
+    # of these tangent weights; along k = 3, (5, 11), one series would pass
+    # its 2^24-term bound
     tangents = [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"],
                 ["16", "-15"], ["66", "-65"], ["16391", "-16383"], ["4705", "-4753"]]
     model = tmp_path / "nine.json"

@@ -14,6 +14,8 @@ import pytest
 
 import decompose_oracle as oracle
 from spindex import (
+    Decomposition,
+    VirtualCharacter,
     admissible_orbits_on_face,
     all_faces,
     build_root_system,
@@ -113,3 +115,14 @@ def test_su3_200_400_decomposes_in_under_half_a_second():
     elapsed = time.monotonic() - start
     assert dec.multiplicities() == _su3_family(200, 400)
     assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
+def test_a_sparse_wide_character_decomposes_at_the_cost_of_its_terms():
+    # the check's power tables hold the values of each column, not its span
+    a1 = build_root_system("A1")
+    chi = VirtualCharacter({(10 ** 6,): 1, (-10 ** 6,): 1})
+    start = time.monotonic()
+    dec = decompose(chi, a1)
+    elapsed = time.monotonic() - start
+    assert dec == Decomposition({(10 ** 6 + 1,): 1, (10 ** 6 - 1,): -1})
+    assert elapsed < 0.1, f"took {elapsed:.2f} s"

@@ -45,13 +45,11 @@ from spindex.localization import (
     _CANCELLATION_MARGIN,
     _direction,
     _expand_series,
-    _integral_candidates,
     _is_generic,
     _localize,
     _packing,
     _pair,
     _PointData,
-    _predicted_terms,
     _series,
     _tangent_set,
     _window,
@@ -244,17 +242,29 @@ def one_point_model(group, eta, tangents):
     })
 
 
+def _curve_point(h, k):
+    """h + (k, k^2, ..., k^r), the point of the moment curve at k."""
+    return tuple(c + k ** i for i, c in enumerate(h, 1))
+
+
 def _curve_points(model, count):
-    """The first generic points h + (k, k^2, ..., k^r), k = 1, 2, ..., of the moment curve."""
+    """The first generic points of the moment curve, k = 0, 1, 2, ..."""
     h, tangents = model.root_system._height_fun, _tangent_set(model)
-    curve = (tuple(c + k ** i for i, c in enumerate(h, 1)) for k in itertools.count(1))
+    curve = (_curve_point(h, k) for k in itertools.count())
     return list(itertools.islice((xi for xi in curve if _is_generic(xi, tangents)), count))
 
 
+def _nudged(model):
+    """The generic nudges h + k e_i, k = 1, 2: directions to expand along instead."""
+    h, tangents = model.root_system._height_fun, _tangent_set(model)
+    nudges = (h[:i] + (h[i] + k,) + h[i + 1:] for k in (1, 2) for i in range(len(h)))
+    return [xi for xi in nudges if _is_generic(xi, tangents)]
+
+
 def test_index_is_independent_of_the_direction(a2, a3):
-    # the index is a function of the model alone: every other generic integral
-    # candidate and the first two generic moment-curve points expand to the
-    # same character as the direction localized_index picks
+    # the index is a function of the model alone: every generic nudge of h and
+    # the next two generic moment-curve points expand to the same character as
+    # the direction localized_index picks
     b2, g2 = build_root_system("B2"), build_root_system("G2")
     for model in [
         su3_flag_bundle(2, 5),
@@ -265,41 +275,45 @@ def test_index_is_independent_of_the_direction(a2, a3):
     ]:
         chi = localized_index(model)
         chosen = _direction(model)
-        others = [xi for xi in _integral_candidates(model.root_system)
-                  if xi != chosen and _is_generic(xi, _tangent_set(model))]
-        others += _curve_points(model, 2)
+        assert _curve_points(model, 1) == [chosen], model.name
+        others = _nudged(model) + _curve_points(model, 3)[1:]
         assert len(others) >= 3, model.name
         for xi in others:
             assert _localize(model, xi) == chi, (model.name, xi)
 
 
-def test_direction_prefers_a_short_window(a2):
-    # h = (2, 2) is orthogonal to (1, -1) in each model, so the rule picks the
-    # generic nudge h + k e_i with the fewest predicted series terms
-    models = [
-        one_point_model("A2", ["1", "1"], [["1", "-1"], ["16", "-15"], ["66", "-65"]]),
-        *(su3_flag_bundle(a, b) for a, b in [(0, 0), (0, 40), (40, 0), (7, 19), (40, 40)]),
-    ]
-    for model in models:
-        chosen = _direction(model)
-        generic = [xi for xi in _integral_candidates(a2)[1:]
-                   if _is_generic(xi, _tangent_set(model))]
-        assert chosen in generic, model.name
-        assert _predicted_terms(model, chosen) == \
-            min(_predicted_terms(model, xi) for xi in generic), model.name
-    # when every nudge is orthogonal to a tangent weight too, the direction is
-    # the first generic point h + (k, k^2) of the moment curve: (3, 3) is
-    # orthogonal to (1, -1) and (4, 6) to (3, -2), so k = 3 gives (5, 11)
-    model = one_point_model("A2", ["1", "1"],
-                            [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"]])
-    assert _direction(model) == (5, 11)
-    assert all(type(c) is int for c in _direction(model))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["A2", "A3"]), st.data())
+def test_direction_is_the_first_generic_curve_point(label, data):
+    rs = localization._shared_root_system(label)
+    h = rs._height_fun
+    small = st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)
+
+    def orthogonal_to_curve_point(k):
+        # a weight orthogonal to the curve point at k, so the search passes k
+        p = _curve_point(h, k)
+        w = [p[1], -p[0]] + [0] * (rs.rank - 2)
+        return [c // math.gcd(*w) for c in w]
+
+    # blocking every k below a drawn depth makes the search reach past it
+    depth = data.draw(st.integers(0, 6))
+    tangents = [orthogonal_to_curve_point(k) for k in range(depth)] + data.draw(st.lists(
+        st.one_of(small, st.integers(0, 12).map(orthogonal_to_curve_point))
+        .filter(any), min_size=1, max_size=6))
+    eta = [str(sum(c)) for c in zip(*tangents)]
+    model = one_point_model(label, eta, [[str(c) for c in a] for a in tangents])
+    xi = _direction(model)
+    k = xi[0] - h[0]
+    assert xi == _curve_point(h, k) and all(type(c) is int for c in xi)
+    assert _is_generic(xi, _tangent_set(model))
+    assert not any(_is_generic(_curve_point(h, j), _tangent_set(model)) for j in range(k))
+    assert k <= rs.rank * len(_tangent_set(model))
 
 
 def test_the_moment_curve_direction_on_a_finite_model(a3):
     # two points p, q with tangents (a1, a2, a3) and (-a1, a2, a3) and the same
     # eta cancel, so the model's index is the orbit's; every a_i is orthogonal
-    # to h = (3, 4, 3), and each nudge h + k e_i to one of them
+    # to h = (3, 4, 3), the point of the moment curve at k = 0
     orbit = orbit_model(a3, weight([1, 1, 1]))
     a = ((0, 3, -4), (1, 0, -1), (4, -3, 0))
     eta = tuple(map(sum, zip(*a)))
@@ -308,8 +322,7 @@ def test_the_moment_curve_direction_on_a_finite_model(a3):
         FixedPointDatum("p", eta, a),
         FixedPointDatum("q", eta, (tuple(-c for c in a[0]), *a[1:]))))
     assert a3._height_fun == (3, 4, 3)
-    nudges = _integral_candidates(a3)
-    assert all(any(_pair(t, xi) == 0 for t in a) for xi in nudges)
+    assert all(_pair(t, a3._height_fun) == 0 for t in a)
     # k = 1 gives (4, 5, 4), orthogonal to a2; k = 2 gives (5, 8, 11), orthogonal to alpha_2
     xi = _direction(model)
     assert xi == (6, 13, 30) and all(type(c) is int for c in xi)
@@ -330,11 +343,12 @@ def test_orbit_models_keep_h_and_su3_models_keep_their_character():
                 model = orbit_model(rs, orbit.mu)
                 assert _direction(model) == rs._height_fun, model.name
                 assert all(type(c) is int for c in _direction(model)), model.name
-    old = (15, 16)  # 7 (h + (1/7, 2/7)), the direction before the rule, made integral
+    old = (15, 16)  # 7 (h + (1/7, 2/7)), an earlier direction, made integral
     for a in range(0, 40, 3):
         for b in range(0, 40, 3):
             model = su3_flag_bundle(a, b)
-            assert _direction(model) in ((2, 3), (3, 2)), model.name
+            # h = (2, 2) and (3, 3) are orthogonal to x_2 = (-1, 1), so k = 2
+            assert _direction(model) == (4, 6), model.name
             assert localized_index(model) == _localize(model, old), model.name
 
 
@@ -562,13 +576,6 @@ def _orbit_pool(label, top):
                 for orbit in admissible_orbits_on_face(face, (Q(0), Q(top)), rs)]
 
 
-def _nudged(model):
-    """Every generic integral nudge h + k e_i of h for the model."""
-    tangents = _tangent_set(model)
-    return [xi for xi in _integral_candidates(model.root_system)[1:]
-            if _is_generic(xi, tangents)]
-
-
 def test_orbit_grid_pool_is_independent_of_the_direction():
     # one root system per group, so series kept along one direction meet the
     # same oriented sets along another and must not be mistaken for them
@@ -715,8 +722,8 @@ def test_merge_words_refuse_coefficient_sums_that_could_pass_int64():
 
 
 def test_a_series_past_its_bound_raises_expansion_too_large():
-    # h and its four nudges are each orthogonal to one of these, and the moment
-    # curve gives (5, 11), along which the nine factors would expand to a depth
+    # the moment curve at k = 0, 1, 2 is orthogonal to one of these, and at
+    # k = 3 gives (5, 11), along which the nine factors would expand to a depth
     # of over 10^5; the first factor past the bound stops before it is laid out
     tangents = [["1", "-1"], ["2", "-3"], ["3", "-2"], ["1", "-2"], ["2", "-1"],
                 ["16", "-15"], ["66", "-65"], ["16391", "-16383"], ["4705", "-4753"]]
@@ -815,10 +822,12 @@ def test_exact_cross_check_agrees_with_a_per_term_evaluation_on_both_pools():
 
 
 def test_power_tables_span_only_the_values_of_each_column():
-    # a column that misses 0 gets a table over [min, max], not one widened to 0
+    # a table holds the distinct values of its column, so a wide span, with or
+    # without 0 in it, costs one entry per value
     y = [3, 5]
     for terms in ({(10 ** 8, -10 ** 8): 2}, {(7, -9): 1, (4, -5): -3, (-1, 2): 1},
-                  {(-3, 0): 1, (-2, -1): 4}, {(-3, -1): 1, (-1, -4): 2}):
+                  {(-3, 0): 1, (-2, -1): 4}, {(-3, -1): 1, (-1, -4): 2},
+                  {(10 ** 6, 0): 1, (-10 ** 6, 3): 2, (0, -10 ** 6): 5, (0, 0): -1}):
         want = sum(c * _at(y, w) for w, c in terms.items()) % _PRIME
         start = time.perf_counter()
         assert _value_at(terms, _columns(terms, 2), y) == want

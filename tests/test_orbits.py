@@ -122,6 +122,17 @@ def test_orbit_index_reads_regularity_off_dominant_coordinates(label, monkeypatc
     assert len(off_chamber) == {"C3": 2, "G2": 1}.get(label, 0)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_every_listed_orbit_is_admissible(label):
+    # the enumeration no longer re-checks its orbits: each run of values starts
+    # at the admissible residue, also from a lower bound that is not 0
+    rs = build_root_system(label)
+    for bounds in ((Q(0), Q(4)), (Q(1, 3), Q(7, 2))):
+        for face in all_faces(rs):
+            for orbit in admissible_orbits_on_face(face, bounds, rs):
+                assert is_admissible(orbit.mu, rs), orbit.mu
+
+
 def test_ray_family_is_half_odd_integers(a2):
     # the admissible points on the omega_1 ray are exactly (1+2n)/2
     ray = face_from_vanishing_set(frozenset({2}), a2)
