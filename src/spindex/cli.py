@@ -264,7 +264,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_index(args) -> int:
     model = _resolve_model(args)
     chi = localized_index(model)
-    # one trial always runs: the cutoff check alone can pass a sum that is not finite
+    # one trial always runs: the engine's support bound is necessary, not proven sufficient
     if not exact_cross_check(model, chi, args.trials if args.cross_check else 1, args.seed):
         raise SpindexError(f"cross-check failed: {model.name} differs from its fixed-point sum")
     if args.format == "json":

@@ -64,7 +64,7 @@ class ExpansionTooLarge(SpindexError):
 
 
 class UnstableCutoff(SpindexError):
-    """The fixed-point sum is not a finite character: terms below its support bound survive."""
+    """The fixed-point sum is not finite: a term survives below the opposite cone's support bound."""
 
 
 class ProviderMissingOrbit(SpindexError):

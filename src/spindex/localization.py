@@ -9,19 +9,19 @@ stored as int tuples.  The index is the finite Laurent polynomial
 computed by orienting every tangent weight against a generic integral
 direction xi (each flip contributes a sign), expanding each inverted factor as
 a geometric series t^{-alpha/2} sum_k t^{-k alpha}, truncating at a pairing
-depth along xi, and summing over fixed points.  The depth reaches a few steps
-past a two-sided bound on the support of the sum, so it follows from the
+depth along xi, and summing over fixed points.  The depth follows from the
 model, and so does the direction: the first generic point
 h + (k, k^2, ..., k^r), k = 0, 1, 2, ..., of the moment curve through
 h = 2 rho-check.  k = 0 gives h, which is generic for every orbit model, as
 their tangent weights are roots.  Every generic direction expands to the
 same character.
-When the sum is a finite character, every term below that bound cancels
-across fixed points; the engine checks this over a fixed margin and raises
-UnstableCutoff when it fails.  The size of a series is what limits the
-engine: one that would pass _SERIES_BOUND terms raises ExpansionTooLarge
-before it is laid out, and so does a sum over fixed points before its
-buffer is allocated.
+Expanded so, a point's terms pair at most base_p = <nu_p, xi>; expanded in
+the opposite cone, 1/(1 - t^{-a}) = -sum_{k>=1} t^{k a}, at least base_p +
+total_p, with total_p the sum of its oriented pairings.  A finite sum lies
+in [min_p (base_p + total_p), max_p base_p] along xi; the depth reaches
+below, and a term surviving there proves the sum not finite (UnstableCutoff).
+A series that would pass _SERIES_BOUND terms raises ExpansionTooLarge before
+it is laid out, as does a sum over fixed points before its buffer is made.
 
 Fixed points that share a multiset of oriented tangent weights (in an orbit
 model, many Weyl translates do) share one series prod_a 1/(1 - t^{-a}): it is
@@ -88,7 +88,6 @@ from .weights import (
     wsub,
 )
 
-_CANCELLATION_MARGIN = 5  # pairing depths below the support bound that must cancel
 _SERIES_BOUND = 2 ** 24  # terms of one series, and of the sum over fixed points before it merges
 
 _SHARED_ROOT_SYSTEMS: dict[str, RootSystem] = {}
@@ -279,16 +278,17 @@ class _PointData:
         self.total = total  # the sum of the oriented pairings
 
 
-def _window(points: list[_PointData]) -> tuple[int, int]:
-    """The expansion floor and the support bound along xi, as pairings with xi.
+def _window(points: list[_PointData]) -> tuple[int, int, int]:
+    """The expansion window [floor, top] and the support bound L, as pairings with xi.
 
-    A finite sum has its support in [low, top] along xi, so the window reaches
-    past it and every term in the margin below must cancel.
+    A finite sum has its support in [L, top], from the two cones (see the
+    module docstring).  The floor lies below L, so the window holds a finite
+    sum term for term, and a term that survives below L proves that the sum
+    is not finite.
     """
     top = max(pd.base for pd in points)
     low = min(pd.base - pd.total for pd in points)
-    depth = max(1, top - low) + 2
-    return top - depth - _CANCELLATION_MARGIN, top - depth
+    return top - max(1, top - low) - 2, top, min(pd.base + pd.total for pd in points)
 
 
 def _packing(nus, series, slab: int) -> tuple[list[int], list[int]]:
@@ -420,8 +420,9 @@ def localized_index(model: ManifoldModel) -> VirtualCharacter:
     """Equivariant index of the model as a finite virtual character.
 
     Raises ExpansionTooLarge when a series passes its fixed bound, and
-    UnstableCutoff when terms below the support bound fail to cancel: necessary
-    but not sufficient for a finite sum, which exact_cross_check decides.
+    UnstableCutoff when a term survives below the lower support bound of a
+    finite sum (see _window), which proves the sum is not finite.  Passing
+    that necessary bound does not prove a finite sum; exact_cross_check tests it.
     """
     if not model.fixed_points:
         return VirtualCharacter.zero()
@@ -435,8 +436,7 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
     pairs = {oriented: tuple(_pair(a, xi) for a in oriented) for oriented in groups}
-    floor, result_floor = _window(points)
-    top = max(pd.base for pd in points)
+    floor, top, bound = _window(points)
     bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
     half = sum(map(mul, bounds, strides))
     series, size, cmax = [], 0, 0
@@ -464,7 +464,7 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     live = coef != 0
     # a key fixes its weight, so pairings are needed only for the terms that survive
     coords, coef = _unpack(keys[live], bounds, strides), coef[live]
-    unstable = coords @ np.array(xi, dtype=np.int64) < result_floor
+    unstable = coords @ np.array(xi, dtype=np.int64) < bound
     if np.any(unstable):
         raise UnstableCutoff(
             f"the fixed points of model {model.name!r} do not sum to a finite character: "
@@ -488,14 +488,14 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
     """
     if trials < 1:
         raise SpindexError(f"the cross-check needs at least one trial, got {trials}")
-    for w in {len(w): w for w in chi._terms}.values():  # one weight of each length
-        model.root_system.check_rank(w, "exact_cross_check")
-    cols = _columns(chi._terms, model.root_system.rank)
+    for n in dict.fromkeys(map(len, chi._terms)):  # each length once, in order of the terms
+        model.root_system.check_rank((0,) * n, "exact_cross_check")
+    cols, tangents = _columns(chi._terms, model.root_system.rank), _tangent_set(model)
     rng = random.Random(seed)
     for _ in range(trials):
         while True:
             y = [rng.randrange(1, _PRIME) for _ in range(model.root_system.rank)]
-            sines = {a: (_at(y, a) - _at(y, wneg(a))) % _PRIME for a in _tangent_set(model)}
+            sines = {a: (_at(y, a) - _at(y, wneg(a))) % _PRIME for a in tangents}
             if all(sines.values()):
                 break
         lhs = 0

@@ -170,18 +170,35 @@ def test_index_of_a_sum_that_is_not_a_finite_character_exits_2(capsys, tmp_path)
     assert "do not sum to a finite character" in err
 
 
-def test_index_checks_one_trial_without_cross_check(capsys, tmp_path, monkeypatch):
-    # 1/(1 - t^-8) is not finite, but its first uncancelled term below the
-    # support bound lies 16 pairing levels down, past the checked margin, so
-    # the engine returns t^0 + t^-8 and only the cross-check sees it
+@pytest.mark.parametrize("command", ["index", "decompose", "verify-qr"])
+def test_a_sum_with_no_term_in_its_support_exits_2(capsys, tmp_path, command):
+    # 1/(1 - t^-8) is not finite, and both of its terms in the window, t^0 and
+    # t^-8, lie below the support bound of a finite sum, so every command stops
+    # in the engine with that cause, before decompose checks Weyl invariance
     model = tmp_path / "a1-not-finite.json"
     model.write_text(json.dumps({
         "name": "a1-not-finite", "group": "A1", "generic_stabilizer": [[]], "kirwan": [],
         "fixed_points": [{"label": "p", "det_weight": ["8"], "tangent_weights": [["8"]]}],
     }))
-    code, out, err = run(capsys, "index", "--model", str(model))
+    code, out, err = run(capsys, command, "--model", str(model))
     assert (code, out) == (2, "")
-    assert err == "error: cross-check failed: a1-not-finite differs from its fixed-point sum\n"
+    assert err == ("error: the fixed points of model 'a1-not-finite' do not sum to a finite "
+                   "character: 2 terms below its support bound do not cancel\n")
+
+
+def test_index_checks_one_trial_without_cross_check(capsys, monkeypatch):
+    # the support bound is necessary, not proven sufficient, so index runs one
+    # trial even without --cross-check: a character one monomial off fails it
+    from spindex import VirtualCharacter
+
+    exact_index = cli.localized_index
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "localized_index",
+                      lambda model: exact_index(model) + VirtualCharacter.monomial((0, 0)))
+        code, out, err = run(capsys, "index", "--model", "su3-flag-bundle", "--a", "1", "--b", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: cross-check failed: su3-flag-bundle(a=1,b=3) differs from its "
+                   "fixed-point sum\n")
     calls = []
     exact = cli.exact_cross_check
     monkeypatch.setattr(cli, "exact_cross_check",

@@ -42,7 +42,6 @@ from spindex.errors import (
     UnstableCutoff,
 )
 from spindex.localization import (
-    _CANCELLATION_MARGIN,
     _direction,
     _expand_series,
     _is_generic,
@@ -399,13 +398,13 @@ def _per_point_localize(model) -> VirtualCharacter:
         points.append((nu, oriented, pairs, sign, sum(n * x for n, x in zip(nu, xi))))
     top = max(p[4] for p in points)
     low = min(p[4] - sum(p[2]) for p in points)
-    depth = max(1, top - low) + 2
-    floor = top - depth - _CANCELLATION_MARGIN
+    floor = top - max(1, top - low) - 2
     bounds, strides = _packing([p[0] for p in points], [p[1:3] for p in points], top - floor)
     parts = [_per_point_expansion(*p, floor, strides) for p in points]
     keys, pair, coef = _combine(*(np.concatenate(col) for col in zip(*parts)))
     live = coef != 0
-    assert not np.any(pair[live] < top - depth)
+    # the opposite cone puts a finite sum at or above min_p (base_p + total_p)
+    assert not np.any(pair[live] < min(p[4] + sum(p[2]) for p in points))
     terms = {}
     for key, c in zip(keys[live].tolist(), coef[live].tolist()):
         key += sum(b * s for b, s in zip(bounds, strides))
@@ -606,9 +605,8 @@ def test_su3_pool_is_independent_of_the_direction():
 def _depth(model):
     """The deepest series depth the model asks for along its direction."""
     xi = _direction(model)
-    points = [_PointData(fp, xi) for fp in model.fixed_points]
-    floor, _ = _window(points)
-    return max(pd.base for pd in points) - floor
+    floor, top, _ = _window([_PointData(fp, xi) for fp in model.fixed_points])
+    return top - floor
 
 
 @pytest.mark.parametrize("label", ["A3", "A2"])
@@ -639,12 +637,96 @@ def test_unstable_cutoff_raises():
              "tangent_weights": [["2", "-1"], ["-1", "2"]]},
             {"label": "q", "det_weight": ["2", "-1"], "tangent_weights": [["-2", "1"]]}],
         "generic_stabilizer": [[]], "kirwan": []})
-    for model, count in ((one_point_model("A1", ["2"], [["2"]]), 2), (cone_minus_edge, 9)):
+    for model, count in ((one_point_model("A1", ["2"], [["2"]]), 3), (cone_minus_edge, 6)):
         with pytest.raises(UnstableCutoff) as err:
             localized_index(model)
         assert str(err.value) == (
             f"the fixed points of model {model.name!r} do not sum to a finite character: "
             f"{count} terms below its support bound do not cancel")
+
+
+def test_a_sum_that_cancels_nothing_below_its_bound_raises():
+    # 1/(1 - t^-8) = sum_k t^(-8k) is not finite: the opposite cone puts a
+    # finite sum at or above t^8 along xi, so both terms in the window, t^0
+    # and t^-8, lie below it
+    with pytest.raises(UnstableCutoff) as err:
+        localized_index(one_point_model("A1", ["8"], [["8"]]))
+    assert str(err.value) == ("the fixed points of model 'one-point' do not sum to a finite "
+                              "character: 2 terms below its support bound do not cancel")
+
+
+def test_every_nonzero_pool_character_reaches_its_lower_support_bound():
+    # a finite sum lies in [L, top] along xi, L = min_p (base_p + total_p) from
+    # the opposite cone; every nonzero character of both pools reaches L exactly
+    nonzero = Counter()
+    for pool, models in (("orbit-grid", _orbit_grid()), ("su3", _su3_pool())):
+        for _, model in models:
+            chi = localized_index(model)
+            if chi.terms():
+                xi = _direction(model)
+                _, top, bound = _window([_PointData(fp, xi) for fp in model.fixed_points])
+                pairings = [_pair(w, xi) for w in chi.terms()]
+                assert min(pairings) == bound and max(pairings) <= top, model.name
+                nonzero[pool] += 1
+    assert nonzero == {"orbit-grid": 180, "su3": 1679}
+
+
+def _nonzero_weight(rng, rank):
+    while not any(a := [rng.randint(-3, 3) for _ in range(rank)]):
+        pass
+    return a
+
+
+def _random_points(rng, rank):
+    """1-5 points of 1-3 tangent weights in [-3, 3]^rank, each det of the right parity."""
+    points = []
+    for _ in range(rng.randint(1, 5)):
+        tangents = [_nonzero_weight(rng, rank) for _ in range(rng.randint(1, 3))]
+        det = [rng.randint(-4, 4) for _ in range(rank)]
+        points.append(([d + (d - sum(cs)) % 2 for d, *cs in zip(det, *tangents)], tangents))
+    return points
+
+
+def _projective_lines(rng, rank):
+    """The points of a product of one or two projective lines, whose sum is finite.
+
+    A line with tangent a at one pole and -a at the other, determinants c and
+    c - 2 m a, sums to (t^{c/2} - t^{c/2 - m a}) / (t^{a/2} - t^{-a/2}).
+    """
+    points = [([0] * rank, [])]
+    for _ in range(rng.randint(1, 2)):
+        a, m = _nonzero_weight(rng, rank), rng.randint(0, 2)
+        c = [2 * rng.randint(-2, 2) + x for x in a]
+        poles = ((c, a), ([x - 2 * m * y for x, y in zip(c, a)], [-x for x in a]))
+        points = [([x + y for x, y in zip(det, pole)], tangents + [t])
+                  for det, tangents in points for pole, t in poles]
+    return points
+
+
+def test_random_sums_raise_or_pass_the_cross_check():
+    # a random fixed-point sum is rarely finite: the engine must raise or
+    # return a character equal to the sum; a product of projective lines is
+    # finite and must come out
+    rng = random.Random(25)
+    groups = [("A1", 1), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 3)]
+    returned = Counter()
+    for i in range(1500):
+        label, rank = rng.choice(groups)
+        finite = i % 5 == 0
+        points = (_projective_lines if finite else _random_points)(rng, rank)
+        model = model_from_json_obj({
+            "name": f"random-{i}", "group": label, "generic_stabilizer": [[]], "kirwan": [],
+            "fixed_points": [{"label": f"p{j}", "det_weight": [str(c) for c in det],
+                              "tangent_weights": [[str(c) for c in a] for a in tangents]}
+                             for j, (det, tangents) in enumerate(points)]})
+        try:
+            chi = localized_index(model)
+        except UnstableCutoff:
+            assert not finite, model_to_json_obj(model)
+            continue
+        assert exact_cross_check(model, chi, trials=3), model_to_json_obj(model)
+        returned[finite] += 1
+    assert returned == {True: 300, False: 1}
 
 
 def _combine_by_argsort(keys, coef):
