@@ -5,9 +5,11 @@ as a sparse map keyed by exact coordinates.  Irreducible characters are built
 by exact division of alternating sums by the Weyl denominator, one binomial
 (1 - t^{-beta}) per positive root at a time.  Decomposition builds none: after
 the invariance check, the multiplicities are the strictly dominant
-coefficients of chi * A_rho, gathered by lookups over one coordinate column
-per axis, and an exact evaluation of the Weyl character formula at a point
-of the torus over F_p confirms them on every call.
+coefficients of chi * A_rho (Weyl's character formula; J. E. Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, section 24),
+scattered over only the pairs (weight of chi, element of the rho orbit) whose
+sum lands in the open chamber, and an exact evaluation of the Weyl character
+formula at a point of the torus over F_p confirms them on every call.
 
 Characters are indexed by infinitesimal character: ``pi(lam)`` has highest
 weight ``lam - rho``.
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 from itertools import compress, repeat
 from math import prod
-from operator import add, and_, gt, itemgetter, mul, neg, sub
+from operator import add, and_, gt, itemgetter, mul, neg, not_, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -305,10 +307,10 @@ def _columns(terms: Iterable[tuple[int, ...]], rank: int) -> list[list[int]]:
 
 def _above(cols: list[list[int]], floor: Iterable[int]) -> list[bool]:
     """Per row, whether every coordinate lies strictly above its axis's floor."""
-    keep = repeat(True)
-    for col, f in zip(cols, floor):
-        keep = map(and_, keep, map(gt, col, repeat(f)))
-    return list(keep)
+    first, *rest = [map(gt, col, repeat(f)) for col, f in zip(cols, floor)]
+    for keep in rest:
+        first = map(and_, first, keep)
+    return list(first)
 
 
 def _is_invariant(terms: dict, rs: RootSystem, cols: list[list[int]]) -> bool:
@@ -328,30 +330,90 @@ def _is_invariant(terms: dict, rs: RootSystem, cols: list[list[int]]) -> bool:
     return True
 
 
+def _chamber_masks(rs: RootSystem) -> tuple[list, list]:
+    """The terms (d, sign(d)) of A_rho, and per axis i the d that lift each
+    coordinate v_i into the open chamber; kept on the root system.
+
+    v + d is strictly dominant exactly when v_i + d_i > 0 on every axis.  On
+    axis i, no d does that while v_i < low = 1 - max_d d_i, and every d does
+    once v_i >= top = 1 - min_d d_i.  Each axis is kept as (low, top, masks):
+    masks maps each v_i in [low, top] to the bit set (bit j for the j-th d)
+    of the d with v_i + d_i > 0, and top stands for every larger v_i.  That is
+    sum_i (max_d d_i - min_d d_i + 1) sets of |W| bits, a size fixed by the
+    root system.
+    """
+    cached = rs.char_cache.get("chamber")
+    if cached is None:
+        ds = list(weyl_denominator(rs)._terms.items())
+        axes = []
+        for i in range(rs.rank):
+            at: dict[int, int] = {}  # d_i -> the bits of the d with that coordinate
+            for j, (d, _) in enumerate(ds):
+                at[d[i]] = at.get(d[i], 0) | 1 << j
+            low, top = 1 - max(at), 1 - min(at)
+            masks, bits = {}, 0
+            for x in range(low, top + 1):
+                bits = masks[x] = bits | at.get(1 - x, 0)
+            axes.append((low, top, masks))
+        cached = rs.char_cache["chamber"] = (ds, axes)
+    return cached
+
+
 def _antisymmetrize(chi: VirtualCharacter, rs: RootSystem, cols: list | None = None) -> dict:
     """Multiplicities read off the strictly dominant part of chi * A_rho.
 
-    Gathered rather than scattered: the candidates lam are the strictly dominant
-    v + d reached from a weight v of chi and a d in the rho orbit, and each
-    m_lam = sum_d sign(d) c(lam - d) adds up one ``terms.get`` pass per d.
+    Scattered over exactly the pairs (v, d), v a weight of chi and d in the
+    rho orbit, with v + d strictly dominant (``_chamber_masks``).  A weight
+    deep in the chamber, where every d lands, takes one column pass per d;
+    every other weight near the chamber takes, one at a time, the d that the
+    masks of its coordinates allow.  A landing lam has 1 <= lam_i <=
+    max_v v_i + max_d d_i, so the sums run on one packed int per weight, and
+    only the nonzero multiplicities are unpacked.
     """
-    terms = chi._terms
-    cols = cols or _columns(terms, rs.rank)
-    denominator = weyl_denominator(rs)._terms
-    # v + d is strictly dominant when v_i > -d_i on every axis
-    near = _above(cols, [-max(d[i] for d in denominator) for i in range(rs.rank)])
+    ds, axes = _chamber_masks(rs)
+    cols = cols or _columns(chi._terms, rs.rank)
+    near = _above(cols, [low - 1 for low, _, _ in axes])
     cols = [list(compress(col, near)) for col in cols]
-    reached: set[tuple[int, ...]] = set()
-    for d in denominator:
-        hit = _above(cols, map(neg, d))
-        reached.update(zip(*[map(add, compress(col, hit), repeat(x)) for col, x in zip(cols, d)]))
-    lams = list(reached)
-    lcols = _columns(lams, rs.rank)
-    mult = [0] * len(lams)
-    for d, s in denominator.items():
-        found = zip(*[map(sub, col, repeat(x)) for col, x in zip(lcols, d)])
-        mult = list(map(add if s > 0 else sub, mult, map(terms.get, found, repeat(0))))
-    return dict(compress(zip(lams, mult), mult))
+    if not cols[0]:
+        return {}
+    values = list(compress(chi._terms.values(), near))
+    strides, radix = [], 1
+    for col, (low, _, _) in zip(cols, axes):
+        strides.append(radix)
+        radix *= max(col) + 2 - low
+    packed = repeat(0)
+    for col, stride in zip(cols, strides):
+        packed = map(add, packed, map(mul, col, repeat(stride)))
+    packed = list(packed)
+    shifts = [(sum(map(mul, d, strides)), s) for d, s in ds]
+    deep = _above(cols, [top - 1 for _, top, _ in axes])
+    acc: dict[int, int] = {}
+    dpacked, dvalues = list(compress(packed, deep)), list(compress(values, deep))
+    signed = {1: dvalues, -1: list(map(neg, dvalues))}
+    for shift, s in shifts:
+        keys = list(map(add, dpacked, repeat(shift)))
+        # the keys of one shift are distinct, so one read and one write per key suffice
+        acc.update(zip(keys, map(add, map(acc.get, keys, repeat(0)), signed[s])))
+    shallow = list(map(not_, deep))
+    allowed = repeat(-1)
+    for col, (_, top, masks) in zip(cols, axes):
+        clipped = map(min, compress(col, shallow), repeat(top))
+        allowed = map(and_, allowed, map(masks.__getitem__, clipped))
+    landing: dict[int, list] = {}  # a mask -> its (shift, sign) pairs
+    for key, c, mask in zip(compress(packed, shallow), compress(values, shallow), allowed):
+        if mask not in landing:
+            # bit j of the mask is character j of its binary digits, read backwards
+            landing[mask] = list(compress(shifts, map("1".__eq__, reversed(bin(mask)))))
+        for shift, s in landing[mask]:
+            acc[key + shift] = acc.get(key + shift, 0) + s * c
+    mult = {}
+    for key, m in compress(acc.items(), acc.values()):
+        lam = []
+        for stride in reversed(strides):
+            x, key = divmod(key, stride)
+            lam.append(x)
+        mult[tuple(reversed(lam))] = m
+    return mult
 
 
 def _at(y, x) -> int:

@@ -50,7 +50,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import and_, mul, sub
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from .roots import (
     Face,
     RootSystem,
     StabilizerClass,
+    _face_point,
     _orbit,
     build_root_system,
     dominant_representative,
@@ -106,7 +108,9 @@ class FixedPointDatum:
     """Local data at one isolated fixed point: determinant weight and tangent weights.
 
     Both are stored as int tuples, which compare and hash equal to the
-    Fraction tuples they may be given as.
+    Fraction tuples they may be given as.  Construction checks that both are
+    integral and of one length, that no tangent weight is zero, and the parity
+    of eta - sum(tangent weights).
     """
 
     label: str
@@ -118,22 +122,44 @@ class FixedPointDatum:
         if det is None:
             raise ParityViolation(
                 f"fixed point {self.label!r}: determinant weight must be integral")
-        tangents = tuple(map(lattice_point, self.tangent_weights))
-        for a, t in zip(self.tangent_weights, tangents):
-            if t is None:
-                raise ParityViolation(f"fixed point {self.label!r}: tangent weight "
-                                      f"({format_weight(weight(a))}) must be integral")
-            if not any(t):
-                raise ParityViolation(
-                    f"fixed point {self.label!r}: zero tangent weight (fixed points must be isolated)")
+        tangents = _checked_tangents(self.label, self.tangent_weights, len(det))
         gap = _less_sum(det, tangents)
         if any(c % 2 for c in gap):
-            raise ParityViolation(
-                f"fixed point {self.label!r}: eta - sum(tangent weights) = "
-                f"({format_weight(gap)}) is not in 2*Lambda; no spin-c structure "
-                f"has this determinant")
+            raise _parity_violation(self.label, gap)
         object.__setattr__(self, "det_weight", det)
         object.__setattr__(self, "tangent_weights", tangents)
+
+    @classmethod
+    def _checked(cls, label: str, det_weight, tangent_weights) -> "FixedPointDatum":
+        """A datum whose checks its caller has made; __post_init__ does not run."""
+        fp = object.__new__(cls)
+        vars(fp).update(label=label, det_weight=det_weight, tangent_weights=tangent_weights)
+        return fp
+
+
+def _checked_tangents(label: str, weights, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The tangent weights as int tuples, each integral, nonzero and of ``rank`` coordinates."""
+    out = []
+    for a in weights:
+        t = lattice_point(a)
+        if t is None:
+            raise ParityViolation(f"fixed point {label!r}: tangent weight "
+                                  f"({format_weight(weight(a))}) must be integral")
+        if len(t) != rank:
+            raise SpindexError(
+                f"fixed point {label!r}: tangent weight ({format_weight(t)}) has "
+                f"{len(t)} coordinates but the determinant weight has {rank}")
+        if not any(t):
+            raise ParityViolation(
+                f"fixed point {label!r}: zero tangent weight (fixed points must be isolated)")
+        out.append(t)
+    return tuple(out)
+
+
+def _parity_violation(label: str, gap) -> ParityViolation:
+    return ParityViolation(
+        f"fixed point {label!r}: eta - sum(tangent weights) = ({format_weight(gap)}) is "
+        f"not in 2*Lambda; no spin-c structure has this determinant")
 
 
 def _less_sum(w: tuple[int, ...], ws) -> tuple[int, ...]:
@@ -258,24 +284,31 @@ def _direction(model: ManifoldModel) -> tuple[int, ...]:
 class _PointData:
     __slots__ = ("nu", "oriented", "sign", "base", "total")
 
-    def __init__(self, fp: FixedPointDatum, xi):
-        sign = 1
-        oriented = []
-        total = 0
+    def __init__(self, fp: FixedPointDatum, xi, orient: dict):
+        # orient maps each tangent weight to its orientation along xi, its
+        # pairing |<a, xi>| and the sign of the flip (see _points)
+        oriented, total, sign = [], 0, 1
         for a in fp.tangent_weights:
-            n = _pair(a, xi)
-            if n < 0:
-                a = wneg(a)
-                sign = -sign
-            oriented.append(a)
-            total += abs(n)
+            b, n, flip = orient[a]
+            oriented.append(b)
+            total += n
+            sign *= flip
+        self.total = total  # the sum of the oriented pairings
+        self.sign = sign
         # eta - sum(oriented) differs from eta - sum(tangents), which
         # FixedPointDatum checked is in 2*Lambda, by twice the flipped weights
         self.nu = tuple(c // 2 for c in _less_sum(fp.det_weight, oriented))
         self.oriented = tuple(sorted(oriented))
-        self.sign = sign
         self.base = _pair(self.nu, xi)
-        self.total = total  # the sum of the oriented pairings
+
+
+def _points(model: ManifoldModel, xi) -> list[_PointData]:
+    """Each fixed point's data along xi, from one pairing per distinct tangent weight."""
+    orient = {}
+    for a in _tangent_set(model):
+        n = _pair(a, xi)
+        orient[a] = (a, n, 1) if n >= 0 else (wneg(a), -n, -1)
+    return [_PointData(fp, xi, orient) for fp in model.fixed_points]
 
 
 def _window(points: list[_PointData]) -> tuple[int, int, int]:
@@ -374,6 +407,14 @@ def _unpack(keys, bounds, strides) -> np.ndarray:
     return coords
 
 
+def _dot(coords: np.ndarray, v) -> np.ndarray:
+    """coords @ v by one multiply-add per axis: numpy has no BLAS kernel for int64 products."""
+    out = coords[:, 0] * v[0]
+    for i in range(1, len(v)):
+        out += coords[:, i] * v[i]
+    return out
+
+
 def _series(rs: RootSystem, oriented, pairs, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_expand_series`` to the depth, as coordinates of v, kept on the root system.
 
@@ -431,7 +472,7 @@ def localized_index(model: ManifoldModel) -> VirtualCharacter:
 
 def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     """The series expansion along the generic integral direction xi, summed over fixed points."""
-    points = [_PointData(fp, xi) for fp in model.fixed_points]
+    points = _points(model, xi)
     groups: dict[tuple, list[_PointData]] = {}
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
@@ -450,7 +491,7 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
             raise ExpansionTooLarge(f"the fixed-point sum of the expansion passes its fixed "
                                     f"bound of {_SERIES_BOUND} terms")
         cmax = max(cmax, int(np.abs(vcoef).max()))
-        series.append((coords @ np.array(strides, dtype=np.int64), vcoef, members, ms))
+        series.append((_dot(coords, strides), vcoef, members, ms))
     b = _word_bits(half, cmax, size)
     words, pos = np.empty(size, dtype=np.int64), 0
     for vkeys, vcoef, members, ms in series:
@@ -464,7 +505,7 @@ def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
     live = coef != 0
     # a key fixes its weight, so pairings are needed only for the terms that survive
     coords, coef = _unpack(keys[live], bounds, strides), coef[live]
-    unstable = coords @ np.array(xi, dtype=np.int64) < bound
+    unstable = _dot(coords, xi) < bound
     if np.any(unstable):
         raise UnstableCutoff(
             f"the fixed points of model {model.name!r} do not sum to a finite character: "
@@ -511,32 +552,80 @@ def exact_cross_check(model: ManifoldModel, chi: VirtualCharacter,
 # -- model builders -------------------------------------------------------------
 
 
+def _frame(rs: RootSystem, sigma: Face) -> tuple[list, list, list]:
+    """The fixed-point frame of a chamber face, kept on the root system.
+
+    For every mu in the open face sigma, the walk of the orbit of 2 mu skips
+    s_i where a point's i-th coordinate vanishes and meets a point again
+    where two Weyl elements differ by W_sigma, both of which depend on sigma
+    alone: so it has the same parent links (k-th point = s_i(parent point))
+    as the walk of the integral point mu_sigma of the face.  The tangent
+    weights at the k-th point, w_k(Phi+ minus Phi_sigma+), and their sum
+    w_k(2 rho - 2 rho_sigma), are the same for every mu as well.  Returns the
+    links, the tangent tuples and the tangent sums, point by point.
+
+    The tangents are carried as indices into the roots, moved by one
+    permutation of the roots per simple reflection, and every root is checked
+    once here as FixedPointDatum would check a tangent weight.
+    """
+    key = ("frame", sigma.vanishing_set)
+    cached = rs.char_cache.get(key)
+    if cached is None:
+        roots = (*rs.positive_roots, *map(wneg, rs.positive_roots))
+        _checked_tangents(f"frame of {sigma.label()}", roots, rs.rank)
+        at = {r: k for k, r in enumerate(roots)}
+        perms = [[at[rs.reflect(i, r)] for r in roots] for i in range(rs.rank)]
+        walk = _orbit(rs, _face_point(sigma, rs))
+        pos = {x: k for k, x in enumerate(walk)}
+        links = [(pos.get(parent, -1), i) for parent, i in walk.values()]
+        levi = set(sigma.levi_positive_roots)
+        moving = tuple(k for k, beta in enumerate(rs.positive_roots) if beta not in levi)
+        indices = [moving]
+        sums = [tuple(sum(roots[k][r] for k in moving) for r in range(rs.rank))]
+        for parent, i in links[1:]:
+            indices.append(tuple(map(perms[i].__getitem__, indices[parent])))
+            sums.append(rs.reflect(i, sums[parent]))
+        tangents = [tuple(map(roots.__getitem__, ks)) for ks in indices]
+        cached = rs.char_cache[key] = (links, tangents, sums)
+    return cached
+
+
+def _half(c: int) -> str:
+    """c / 2 as format_weight prints Fraction(c, 2)."""
+    return f"{c}/2" if c % 2 else str(c // 2)
+
+
 def orbit_model(rs: RootSystem, mu: Weight) -> ManifoldModel:
     """Localization model of the coadjoint orbit through an admissible dominant weight.
 
     Fixed points sit at the Weyl images of mu (one per coset of the face
     stabilizer); the determinant weight at the image w(mu) is 2 w(mu) and the
     tangent weights are the w-images of the positive roots outside the Levi.
-    An admissible mu lies in Lambda / 2, so the walk runs over the orbit of
-    2 mu on machine integers and each image is its own determinant weight.
+    An admissible mu lies in Lambda / 2, so each image is taken on machine
+    integers as its own determinant weight.  The walk, the tangent tuples and
+    their sums come from the frame of mu's face (``_frame``), built once per
+    face and shared by every model on it: a model reflects 2 mu once per
+    point and checks the parity 2 w(mu) - sum(tangents) in 2 Lambda there, in
+    O(rank), while the frame has checked the tangent weights.
     """
     mu = weight(mu)
     rs.check_rank(mu, "orbit_model")
     if not is_admissible(mu, rs):
         raise NotAdmissible(f"orbit through ({format_weight(mu)}) is not admissible")
     sigma = face_of(mu, rs)
-    levi = set(sigma.levi_positive_roots)
-    moving = tuple(beta for beta in rs.positive_roots if beta not in levi)
-    tangents: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for image, (parent, i) in _orbit(rs, tuple(int(2 * c) for c in mu)).items():
-        tangents[image] = (moving if parent is None
-                           else tuple(rs.reflect(i, beta) for beta in tangents[parent]))
+    links, tangents, sums = _frame(rs, sigma)
+    images = [tuple(int(2 * c) for c in mu)]
+    for parent, i in links[1:]:
+        images.append(rs.reflect(i, images[parent]))
+    fixed = []
+    for image, ts, total in zip(images, tangents, sums):
+        label = "w(" + ",".join(map(_half, image)) + ")"
+        if any(map(and_, map(sub, image, total), repeat(1))):  # an odd coordinate
+            raise _parity_violation(label, tuple(map(sub, image, total)))
+        fixed.append(FixedPointDatum._checked(label, image, ts))
     return ManifoldModel(
         root_system=rs,
-        fixed_points=tuple(
-            FixedPointDatum(label=f"w({format_weight(Fraction(c, 2) for c in image)})",
-                            det_weight=image, tangent_weights=ts)
-            for image, ts in tangents.items()),
+        fixed_points=tuple(fixed),
         generic_stabilizer=stabilizer_class_of_face(sigma, rs),
         kirwan=KirwanSet((KirwanPiece(face=sigma, points=(mu,)),)),
         name=f"orbit:{rs.label}:{format_weight(mu)}",

@@ -80,4 +80,12 @@ def weight_to_json(w: Weight) -> list[str]:
 
 
 def weight_from_json(obj: Sequence[str]) -> Weight:
-    return tuple(Fraction(c) for c in obj)
+    """Rationals from strings; a coordinate with a zero denominator raises ValueError."""
+    out = []
+    for k, c in enumerate(obj, 1):
+        try:
+            out.append(Fraction(c))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"coordinate {k} of the weight {list(obj)} has a zero denominator: {c!r}") from None
+    return tuple(out)

@@ -14,7 +14,7 @@ old checks, in the old order, and raises the same error classes.
 
 import heapq
 from itertools import compress, repeat
-from operator import add, gt, mul, neg
+from operator import add, gt, mul, neg, sub
 
 from spindex.characters import Decomposition, _above, _columns, weyl_character, weyl_denominator
 from spindex.errors import MethodMismatch, NotWeylInvariant, SpindexError
@@ -157,3 +157,30 @@ def decompose(chi, rs) -> Decomposition:
         raise MethodMismatch(
             f"peeling gave {by_peeling} but antisymmetrization gave {by_antisym}")
     return Decomposition(by_peeling)
+
+
+def gather_antisymmetrize(chi, rs) -> dict:
+    """Gather m_lam = sum_d sign(d) c(lam - d) over every candidate lam, one pass per d.
+
+    The candidates are the strictly dominant v + d reached from a weight v of
+    chi near the chamber and a d in the rho orbit; each m_lam adds up one
+    ``terms.get`` pass per d.  This is the column form the package ran before
+    it scattered over the pairs that land in the chamber.
+    """
+    terms = chi._terms
+    cols = _columns(terms, rs.rank)
+    denominator = weyl_denominator(rs)._terms
+    # v + d is strictly dominant when v_i > -d_i on every axis
+    near = _above(cols, [-max(d[i] for d in denominator) for i in range(rs.rank)])
+    cols = [list(compress(col, near)) for col in cols]
+    reached = set()
+    for d in denominator:
+        hit = _above(cols, map(neg, d))
+        reached.update(zip(*[map(add, compress(col, hit), repeat(x)) for col, x in zip(cols, d)]))
+    lams = list(reached)
+    lcols = _columns(lams, rs.rank)
+    mult = [0] * len(lams)
+    for d, s in denominator.items():
+        found = zip(*[map(sub, col, repeat(x)) for col, x in zip(lcols, d)])
+        mult = list(map(add if s > 0 else sub, mult, map(terms.get, found, repeat(0))))
+    return dict(compress(zip(lams, mult), mult))

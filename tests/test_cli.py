@@ -467,3 +467,43 @@ def test_cli_fuzz_returns_an_exit_code(capsys, tmp_path, argv):
     files["table"].write_text(json.dumps({"entries": [{"mu": ["1"], "value": 1}]}))
     assert main([a.format(**files) for a in argv]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def _b2_model_file(tmp_path, edit):
+    obj = model_to_json_obj(orbit_model(build_root_system("B2"), (1, 1)))
+    edit(obj["fixed_points"][0])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_a_zero_denominator_in_a_model_file_is_one_usage_error(capsys, tmp_path):
+    path = _b2_model_file(tmp_path, lambda fp: fp["det_weight"].__setitem__(0, "1/0"))
+    code, out, err = run(capsys, "index", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: malformed model file {path}: ValueError(\"coordinate 1 of "
+                   f"the weight ['1/0', '2'] has a zero denominator: '1/0'\")\n")
+
+
+def test_a_zero_denominator_in_a_table_provider_is_one_usage_error(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"entries": [{"mu": ["1/0", "1"], "value": 1}]}))
+    code, out, err = run(capsys, "verify-qr", "--model", "su3-flag-bundle", "--a", "1",
+                         "--b", "3", "--provider", f"table:{table}")
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: cannot parse provider 'table:{table}': coordinate 1 of "
+                   f"the weight ['1/0', '1'] has a zero denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_weights_of_two_lengths_at_one_fixed_point_exit_2(capsys, tmp_path, extra):
+    # a tangent weight of 3 coordinates beside a determinant weight of 2, or of 1
+    def edit(fp):
+        tangent = fp["tangent_weights"][0]
+        fp["tangent_weights"][0] = tangent + ["0"] if extra > 0 else tangent[:1]
+    path = _b2_model_file(tmp_path, edit)
+    tangent = json.loads(path.read_text())["fixed_points"][0]["tangent_weights"][0]
+    code, out, err = run(capsys, "index", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: fixed point 'w(1,1)': tangent weight ({','.join(tangent)}) has "
+                   f"{2 + extra} coordinates but the determinant weight has 2\n")

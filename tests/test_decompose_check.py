@@ -64,10 +64,12 @@ def test_decompose_builds_no_irreducible_character():
     systems["su3"] = a2
     for label, rs in systems.items():
         kinds = {key if isinstance(key, str) else key[0] for key in rs.char_cache}
-        # the Weyl denominator, the point of the torus with its frames, and the
-        # kept series of the localization engine; no ("chi", lam) or ("dominant", lam)
-        assert kinds <= {"denominator", "point", "series"}, (label, kinds)
-        assert {"denominator", "point"} <= kinds
+        # the Weyl denominator, its chamber masks, the point of the torus with
+        # its frames, the kept series of the localization engine and the
+        # fixed-point frames of the orbit models; no ("chi", lam) or ("dominant", lam)
+        assert kinds <= {"denominator", "chamber", "point", "series", "frame"}, (label, kinds)
+        assert {"denominator", "chamber", "point"} <= kinds
+        assert ("frame" in kinds) == (label != "su3"), (label, kinds)
 
 
 def test_a_corrupted_antisymmetrization_raises_method_mismatch(monkeypatch):
@@ -96,6 +98,7 @@ def test_both_pools_match_the_peel_oracle_and_every_off_by_one_fails(pool, monke
         chi = localized_index(model)
         mult = decompose(chi, rs).multiplicities()
         assert mult == oracle.column_peel(chi, rs), model.name
+        assert mult == oracle.gather_antisymmetrize(chi, rs), model.name
         lam = rng.choice(sorted(mult) or [rs.rho])
         wrong = {**mult, lam: mult.get(lam, 0) + rng.choice([-1, 1])}
         with monkeypatch.context() as patch:

@@ -25,7 +25,7 @@ from spindex import (
     su3_flag_bundle,
     weyl_character,
 )
-from spindex.characters import _antisymmetrize, _columns
+from spindex.characters import _antisymmetrize, _chamber_masks, _columns
 from spindex.errors import NotWeylInvariant, SpindexError
 
 # coordinates of the infinitesimal characters drawn per rank, kept small
@@ -163,3 +163,62 @@ def test_both_benchmark_pools_match_the_oracle():
             assert decompose(chi, rs) == oracle.decompose(chi, rs), (label, mu)
             checked += 1
     assert checked == 81 + 71
+
+
+def _random_character(rs, rng):
+    """Random coefficients on random weights around the chamber: mostly near its
+    walls, some deep inside it and some far outside, with no invariance."""
+    terms = {}
+    for _ in range(rng.randint(0, 60)):
+        w = tuple(rng.randint(-4, 6) if rng.random() < 0.8 else rng.randint(-15, 15)
+                  for _ in range(rs.rank))
+        terms[w] = terms.get(w, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return VirtualCharacter(terms)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3"])
+def test_the_chamber_scatter_matches_the_gather_on_random_characters(label):
+    rs = build_root_system(label)
+    rng = random.Random(f"scatter-{label}")
+    for _ in range(200):
+        chi = _random_character(rs, rng)
+        got = _antisymmetrize(chi, rs)
+        assert got == oracle.gather_antisymmetrize(chi, rs) == oracle.antisymmetrize(chi, rs), chi
+        assert all(min(lam) > 0 and m for lam, m in got.items())
+
+
+def test_the_roots_of_a2_antisymmetrize_from_their_non_dominant_members():
+    # sum over the roots is the adjoint character less its two zero weights,
+    # pi(2,2) - 2 pi(1,1); pi(1,1) = t^0 is reached only as (2,-1) + (-1,2) and
+    # (-1,2) + (2,-1), from the two roots that are not dominant
+    rs = build_root_system("A2")
+    roots = [*rs.positive_roots, *(tuple(-c for c in r) for r in rs.positive_roots)]
+    chi = VirtualCharacter(dict.fromkeys(roots, 1))
+    want = {(2, 2): 1, (1, 1): -2}
+    assert _antisymmetrize(chi, rs) == oracle.gather_antisymmetrize(chi, rs) == want
+    assert decompose(chi, rs) == Decomposition(want)
+    dominant = VirtualCharacter({w: c for w, c in chi.terms().items() if min(w) >= 0})
+    assert oracle.antisymmetrize(dominant, rs) != want
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "D4"])
+def test_the_chamber_masks_are_sized_by_the_root_system(label):
+    # per axis, one |W|-bit set for each value between the extreme coordinates of
+    # the rho orbit, and the widest value admits every element of it
+    rs = build_root_system(label)
+    ds, axes = _chamber_masks(rs)
+    assert len(ds) == rs.weyl_order() and len(axes) == rs.rank
+    for i, (low, top, masks) in enumerate(axes):
+        assert low == 1 - max(d[i] for d, _ in ds) and top == 1 - min(d[i] for d, _ in ds)
+        assert sorted(masks) == list(range(low, top + 1))
+        assert masks[top] == (1 << len(ds)) - 1
+        for x, bits in masks.items():
+            assert bits == sum(1 << j for j, (d, _) in enumerate(ds) if x + d[i] > 0)
+
+
+def test_the_e6_chamber_masks_are_23_per_axis():
+    # the rho orbit of E6 spans [-11, 11] on every axis: 6 * 23 sets of 51,840
+    # bits, where a table keyed by the clipped coordinates could reach 23^6 entries
+    ds, axes = _chamber_masks(build_root_system("E6"))
+    assert len(ds) == 51840
+    assert [(low, top, len(masks)) for low, top, masks in axes] == [(-10, 12, 23)] * 6

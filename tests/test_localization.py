@@ -1,5 +1,6 @@
 """Fixed-point engine, model builders, exact modular oracle, model files."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -48,7 +49,7 @@ from spindex.localization import (
     _localize,
     _packing,
     _pair,
-    _PointData,
+    _points,
     _series,
     _tangent_set,
     _window,
@@ -166,6 +167,61 @@ def test_orbit_models_match_the_full_weyl_group(label):
             assert len(model.fixed_points) == len(got) == len(expected)
             assert got == expected
             assert all(len(fp.tangent_weights) == len(moving) for fp in model.fixed_points)
+
+
+# sha256 of the sorted-key JSON of every orbit model below, as built by walking
+# each model's own orbit; the frames must export the same bytes
+_ORBIT_MODELS_DIGEST = "f8f6440b0b90208da79c05e1ccc98cf4dd50844e01db00138de4c6919fb292ae"
+
+
+def test_orbit_models_built_from_frames_export_the_same_bytes():
+    digest, count = hashlib.sha256(), 0
+    for label, top in (*((g, 4) for g in ("A1", "A2", "A3", "B2", "G2")),
+                       *((g, 1) for g in ("A4", "B3", "C3", "D4", "B4", "C4", "A5"))):
+        rs = build_root_system(label)
+        for face in all_faces(rs):
+            for orbit in admissible_orbits_on_face(face, (Q(0), Q(top)), rs):
+                model = orbit_model(rs, orbit.mu)
+                digest.update(json.dumps(model_to_json_obj(model), sort_keys=True).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (317, _ORBIT_MODELS_DIGEST)
+
+
+def test_two_weights_on_one_face_share_one_frame():
+    rs = build_root_system("A3")
+    first, second = orbit_model(rs, (1, 1, 1)), orbit_model(rs, (2, 1, 3))
+    ray = orbit_model(rs, (1, 0, 0))
+    frames = sorted((k for k in rs.char_cache if k[0] == "frame"), key=lambda k: sorted(k[1]))
+    assert frames == [("frame", frozenset()), ("frame", frozenset({2, 3}))]
+    assert len(first.fixed_points) == len(second.fixed_points) == 24
+    assert len(ray.fixed_points) == 4
+    for p, q in zip(first.fixed_points, second.fixed_points):
+        assert p.tangent_weights is q.tangent_weights
+        assert p.det_weight != q.det_weight
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "C3"])
+def test_frame_built_points_pass_the_full_checks(label):
+    # each point, rebuilt through the constructor, passes every check and is equal
+    rs = build_root_system(label)
+    for face in all_faces(rs):
+        for orbit in admissible_orbits_on_face(face, (Q(0), Q(3)), rs):
+            for fp in orbit_model(rs, orbit.mu).fixed_points:
+                again = FixedPointDatum(fp.label, fp.det_weight, fp.tangent_weights)
+                assert again == fp and hash(again) == hash(fp)
+                assert all(type(c) is int for w in (fp.det_weight, *fp.tangent_weights)
+                           for c in w)
+
+
+def test_a_parity_gap_in_a_frame_built_model_raises(monkeypatch):
+    # the per-point check is what stands in for FixedPointDatum's: a frame whose
+    # tangent sums are off by one root fails at the first point
+    rs = build_root_system("A2")
+    links, tangents, sums = localization._frame(rs, localization.face_of((1, 1), rs))
+    odd = [tuple(c + a for c, a in zip(total, rs.positive_roots[0])) for total in sums]
+    monkeypatch.setitem(rs.char_cache, ("frame", frozenset()), (links, tangents, odd))
+    with pytest.raises(ParityViolation, match=r"fixed point 'w\(1,1\)': eta - sum"):
+        orbit_model(rs, (1, 1))
 
 
 def frozenset_multiset(items):
@@ -605,7 +661,7 @@ def test_su3_pool_is_independent_of_the_direction():
 def _depth(model):
     """The deepest series depth the model asks for along its direction."""
     xi = _direction(model)
-    floor, top, _ = _window([_PointData(fp, xi) for fp in model.fixed_points])
+    floor, top, _ = _window(_points(model, xi))
     return top - floor
 
 
@@ -664,7 +720,7 @@ def test_every_nonzero_pool_character_reaches_its_lower_support_bound():
             chi = localized_index(model)
             if chi.terms():
                 xi = _direction(model)
-                _, top, bound = _window([_PointData(fp, xi) for fp in model.fixed_points])
+                _, top, bound = _window(_points(model, xi))
                 pairings = [_pair(w, xi) for w in chi.terms()]
                 assert min(pairings) == bound and max(pairings) <= top, model.name
                 nonzero[pool] += 1
