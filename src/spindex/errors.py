@@ -19,6 +19,10 @@ class WeylGroupTooLarge(SpindexError):
     """A Weyl orbit walk passed its fixed bound of 2^16 points."""
 
 
+class FaceListTooLarge(SpindexError):
+    """A group has more than 2^16 chamber faces to list."""
+
+
 class NotDominant(SpindexError):
     """A weight required to be dominant has a negative coordinate."""
 

@@ -70,6 +70,7 @@ from .roots import (
     StabilizerClass,
     _face_point,
     _orbit,
+    _zero_set,
     build_root_system,
     dominant_representative,
     face_from_vanishing_set,
@@ -242,9 +243,6 @@ class ManifoldModel:
                     raise SpindexError(
                         f"Kirwan point ({format_weight(p)}) is not in the closure of "
                         f"{piece.face.label()}")
-
-    def info_dict(self) -> dict[str, str]:
-        return dict(self.info)
 
 
 # -- expansion direction ------------------------------------------------------
@@ -801,7 +799,7 @@ def kirwan_faces_met(kirwan: KirwanSet, rs: RootSystem) -> set[Face]:
         # all of them do, so the faces met are the intersections of their zero sets
         zero_sets: set[frozenset[int]] = set()
         for p in piece.points:
-            zeros = frozenset(i + 1 for i, c in enumerate(p) if c == 0)
+            zeros = _zero_set(p)
             zero_sets |= {zeros} | {zeros & z for z in zero_sets}
         met.update(face_from_vanishing_set(z, rs) for z in zero_sets)
     return met
@@ -908,7 +906,7 @@ def model_from_json_obj(obj: dict) -> ManifoldModel:
     pieces = tuple(
         KirwanPiece(
             face=face_from_vanishing_set(frozenset(e["face"]), rs),
-            segments=tuple((Fraction(lo), Fraction(hi)) for lo, hi in e.get("segments", [])),
+            segments=tuple((lo, hi) for lo, hi in map(weight_from_json, e.get("segments", []))),
             points=tuple(weight_from_json(p) for p in e.get("points", [])),
         )
         for e in obj["kirwan"]

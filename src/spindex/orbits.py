@@ -21,7 +21,7 @@ from .errors import (
     NotOnFace,
     OrbitRegionTooLarge,
 )
-from .roots import _ORBIT_BOUND, Face, RootSystem, face_of, is_regular
+from .roots import _ORBIT_BOUND, Face, RootSystem, _zero_set, face_of, is_regular
 from .weights import (
     Weight,
     format_weight,
@@ -48,8 +48,7 @@ class CoadjointOrbit:
         if not is_dominant(self.mu):
             raise NotDominant(
                 f"orbit representative must be dominant, got ({format_weight(self.mu)})")
-        zeros = frozenset(i + 1 for i, c in enumerate(self.mu) if c == 0)
-        if len(self.mu) != len(self.face.rho_sigma) or zeros != self.face.vanishing_set:
+        if len(self.mu) != len(self.face.rho_sigma) or _zero_set(self.mu) != self.face.vanishing_set:
             raise NotOnFace(f"orbit representative ({format_weight(self.mu)}) does not lie "
                             f"on the face {self.face.label()}")
 

@@ -32,10 +32,11 @@ from .localization import (
     localized_index,
 )
 from .orbits import CoadjointOrbit, OrbitIndex, is_admissible, orbit_spin_index
-from .roots import Face, RootSystem, face_from_vanishing_set, stabilizer_class_of_face
+from .roots import Face, RootSystem, _zero_set, face_from_vanishing_set, stabilizer_class_of_face
 from .weights import (
     Weight,
     format_weight,
+    is_dominant,
     is_strictly_dominant,
     lattice_point,
     weight,
@@ -187,11 +188,7 @@ def multiplicity(model: ManifoldModel, lam: Weight, provider) -> int:
     total = 0
     for face in contributing_faces(model):
         mu = wsub(lam, face.rho_sigma)
-        on_face = all(
-            (mu[i] == 0) == ((i + 1) in face.vanishing_set) and mu[i] >= 0
-            for i in range(rs.rank)
-        )
-        if not on_face:
+        if not (is_dominant(mu) and _zero_set(mu) == face.vanishing_set):
             continue
         if not kirwan_contains(model.kirwan, mu, rs):
             continue
@@ -333,6 +330,16 @@ def validate_provider(provider, model: ManifoldModel) -> list[str]:
     return warnings
 
 
+def _table_entry(e) -> TableEntry:
+    """One table-file entry; ValueError unless it has a weight mu, an int value, a str chamber."""
+    if not isinstance(e, dict):
+        raise ValueError(f"a table entry must be a JSON object, got {e!r}")
+    value, chamber = e.get("value"), e.get("chamber")
+    if type(value) is not int or not (chamber is None or isinstance(chamber, str)):
+        raise ValueError(f"table entry {e!r} needs an integer 'value' and a string or no 'chamber'")
+    return TableEntry(weight_from_json(e.get("mu")), value, chamber)
+
+
 def parse_provider_spec(spec: str, model: ManifoldModel):
     """Provider mini-language: constant:<int>, table:<path>, from-multiplicities."""
     if spec.startswith("constant:"):
@@ -343,11 +350,9 @@ def parse_provider_spec(spec: str, model: ManifoldModel):
         path = spec.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        entries = [
-            TableEntry(weight_from_json(e["mu"]), int(e["value"]), e.get("chamber"))
-            for e in data["entries"]
-        ]
-        return TableProvider(entries)
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise ValueError("a table must be a JSON object with an 'entries' list")
+        return TableProvider([_table_entry(e) for e in data["entries"]])
     if spec == "from-multiplicities":
         return FromMultiplicitiesProvider(decomposed_index(model))
     raise ProviderInvalid(f"unknown provider spec {spec!r}")

@@ -16,10 +16,13 @@ otherwise, and the group is never listed.  ``_orbit`` walks one Weyl orbit
 breadth-first over the simple reflections.  Roots and coroots come from the
 orbits of the simple roots, alternating sums from the free orbit of a regular
 weight, orbit models from the orbit of their base point, and each
-Levi-conjugacy class from one orbit; dominant representatives descend by
-reflecting negative coordinates away.  A walk raises ``WeylGroupTooLarge``
-past a fixed bound of 2^16 points: |W(E6)| = 51,840 fits, the Levi orbits
-of E7 do not.
+Levi-conjugacy class from one orbit, whose zero sets name every member;
+dominant representatives descend by reflecting negative coordinates away.  A
+walk raises ``WeylGroupTooLarge`` past a fixed bound of 2^16 points: |W(E6)| =
+51,840 fits, the Levi orbits of E7 do not.  ``all_faces`` lists the 2^rank
+chamber faces only for listings (``stabilizer_classes``, the ``faces``
+command), and raises ``FaceListTooLarge`` past the same bound; no model path
+enumerates faces.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import NotDominant, SpindexError, UnknownType, WeylGroupTooLarge
+from .errors import FaceListTooLarge, NotDominant, SpindexError, UnknownType, WeylGroupTooLarge
 from .weights import Weight, format_weight, is_dominant, weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -361,8 +364,7 @@ def face_of(w: Weight, rs: RootSystem) -> Face:
     """Face of the dominant chamber whose relative interior contains ``w``."""
     if not is_dominant(w):
         raise NotDominant(f"face_of requires a dominant weight, got ({format_weight(w)})")
-    vanishing = frozenset(i + 1 for i, c in enumerate(w) if c == 0)
-    return face_from_vanishing_set(vanishing, rs)
+    return face_from_vanishing_set(_zero_set(w), rs)
 
 
 def face_from_vanishing_set(vanishing: frozenset[int], rs: RootSystem) -> Face:
@@ -380,7 +382,14 @@ def face_from_vanishing_set(vanishing: frozenset[int], rs: RootSystem) -> Face:
 
 
 def all_faces(rs: RootSystem) -> list[Face]:
-    """All 2^rank chamber faces, smallest vanishing sets first."""
+    """All 2^rank chamber faces, smallest vanishing sets first; for listing only.
+
+    Past 2^16 faces, FaceListTooLarge is raised before any is listed: |W| >= 2^rank
+    (a product of invariant degrees, each >= 2), so the orbit of rho would not fit either.
+    """
+    if 2 ** rs.rank > _ORBIT_BOUND:
+        raise FaceListTooLarge(
+            f"{rs.label} has 2^{rs.rank} chamber faces, more than the {_ORBIT_BOUND} to list")
     out = []
     for r in range(rs.rank + 1):
         for combo in itertools.combinations(range(1, rs.rank + 1), r):
@@ -399,6 +408,7 @@ def _face_point(f: Face, rs: RootSystem) -> Weight:
 
 
 def _zero_set(x: Weight) -> frozenset[int]:
+    """The 1-based coordinates at which x vanishes: the face of x when x is dominant."""
     return frozenset(i + 1 for i, c in enumerate(x) if c == 0)
 
 
@@ -416,17 +426,19 @@ def stabilizer_class_of_face(f: Face, rs: RootSystem) -> StabilizerClass:
     """Levi-conjugacy class of a chamber face, members in ``all_faces`` order.
 
     Face K is in it exactly when some point of the orbit of mu_f vanishes
-    exactly at K and |Phi_K| = |Phi_f| (see ``levi_conjugate``).
+    exactly at K and |Phi_K| = |Phi_f| (see ``levi_conjugate``), so the class
+    is read off the zero sets of one orbit walk.
     """
     cls = rs._class_of.get(f)
     if cls is None:
         if f != face_from_vanishing_set(f.vanishing_set, rs):
             raise UnknownType(f"face {f.label()} is not a chamber face of {rs.label}")
-        zero_sets = {_zero_set(x) for x in _orbit(rs, _face_point(f, rs))}
+        zero_sets = sorted({_zero_set(x) for x in _orbit(rs, _face_point(f, rs))},
+                           key=lambda z: (len(z), sorted(z)))
         size = len(f.levi_positive_roots)
         cls = StabilizerClass(tuple(
-            k for k in all_faces(rs)
-            if k.vanishing_set in zero_sets and len(k.levi_positive_roots) == size))
+            k for k in (face_from_vanishing_set(z, rs) for z in zero_sets)
+            if len(k.levi_positive_roots) == size))
         rs._class_of.update(dict.fromkeys(cls.representative_faces, cls))
     return cls
 

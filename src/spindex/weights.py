@@ -80,12 +80,17 @@ def weight_to_json(w: Weight) -> list[str]:
 
 
 def weight_from_json(obj: Sequence[str]) -> Weight:
-    """Rationals from strings; a coordinate with a zero denominator raises ValueError."""
+    """Rationals from a JSON list; ValueError names a coordinate that is not a rational."""
+    if not isinstance(obj, list):
+        raise ValueError(f"a weight must be a list of rationals, got {obj!r}")
     out = []
     for k, c in enumerate(obj, 1):
         try:
             out.append(Fraction(c))
         except ZeroDivisionError:
             raise ValueError(
-                f"coordinate {k} of the weight {list(obj)} has a zero denominator: {c!r}") from None
+                f"coordinate {k} of the weight {obj} has a zero denominator: {c!r}") from None
+        except (ValueError, TypeError, OverflowError):  # "x", null, a list, Infinity or NaN
+            raise ValueError(
+                f"coordinate {k} of the weight {obj} is not a rational: {c!r}") from None
     return tuple(out)

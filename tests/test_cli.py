@@ -385,6 +385,14 @@ def test_exceptional_groups(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_face_listing_past_the_bound_exits_2_before_listing(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "faces", "--group", "A30")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (
+        2, "", "error: A30 has 2^30 chamber faces, more than the 65536 to list\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("orbits", "--group", "A5", "--face", "open", "--max", "60"),  # 60^5 orbits
     ("orbits", "--group", "A1", "--face", "open", "--max", "100000000"),
@@ -493,6 +501,55 @@ def test_a_zero_denominator_in_a_table_provider_is_one_usage_error(capsys, tmp_p
     assert (code, out) == (1, "")
     assert err == (f"usage error: cannot parse provider 'table:{table}': coordinate 1 of "
                    f"the weight ['1/0', '1'] has a zero denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize("builder, edit, reason", [
+    (("orbit", "--group", "B2", "--mu", "1,1"),
+     lambda obj: obj["fixed_points"][0]["det_weight"].__setitem__(0, float("inf")),
+     "coordinate 1 of the weight [inf, '2'] is not a rational: inf"),
+    (("orbit", "--group", "B2", "--mu", "1,1"),
+     lambda obj: obj["kirwan"][0]["points"][0].__setitem__(1, float("nan")),
+     "coordinate 2 of the weight ['1', nan] is not a rational: nan"),
+    (("su3-flag-bundle", "--a", "1", "--b", "3"),
+     lambda obj: obj["kirwan"][0].__setitem__("segments", [["0", "1/0"]]),
+     "coordinate 2 of the weight ['0', '1/0'] has a zero denominator: '1/0'"),
+    (("su3-flag-bundle", "--a", "1", "--b", "3"),
+     lambda obj: obj["fixed_points"][0].__setitem__("det_weight", "04"),
+     "a weight must be a list of rationals, got '04'"),
+], ids=["det-weight-infinity", "kirwan-point-nan", "segment-zero-denominator", "weight-string"])
+def test_a_weight_that_is_not_rationals_in_a_model_file_is_one_usage_error(
+        capsys, tmp_path, builder, edit, reason):
+    path = tmp_path / "model.json"
+    assert run(capsys, "export-model", "--model", *builder, "--out", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))  # Infinity and NaN, as json.load accepts them
+    code, out, err = run(capsys, "index", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: malformed model file {path}: ValueError({reason!r})\n"
+
+
+@pytest.mark.parametrize("table, reason", [
+    ([], "a table must be a JSON object with an 'entries' list"),
+    ({"entries": 5}, "a table must be a JSON object with an 'entries' list"),
+    ({"entries": [5]}, "a table entry must be a JSON object, got 5"),
+    ({"entries": [{"mu": 3, "value": 1}]}, "a weight must be a list of rationals, got 3"),
+    ({"entries": [{"mu": ["1/2", "0"], "value": None}]},
+     "table entry {'mu': ['1/2', '0'], 'value': None} needs an integer 'value' and a string "
+     "or no 'chamber'"),
+    ({"entries": [{"mu": ["1/2", "0"], "value": 1, "chamber": []}]},
+     "table entry {'mu': ['1/2', '0'], 'value': 1, 'chamber': []} needs an integer 'value' "
+     "and a string or no 'chamber'"),
+    ({"entries": [{"mu": [float("inf"), "1"], "value": 1}]},
+     "coordinate 1 of the weight [inf, '1'] is not a rational: inf"),
+], ids=["list", "entries-int", "entry-int", "mu-int", "value-null", "chamber-list", "mu-infinity"])
+def test_a_malformed_table_provider_is_one_usage_error(capsys, tmp_path, table, reason):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "verify-qr", "--model", "su3-flag-bundle", "--a", "1",
+                         "--b", "3", "--provider", f"table:{path}")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: cannot parse provider 'table:{path}': {reason}\n"
 
 
 @pytest.mark.parametrize("extra", [1, -1])

@@ -1,5 +1,6 @@
 """Root systems, Weyl groups, faces, and stabilizer classes."""
 
+import json
 import math
 import time
 from fractions import Fraction as Q
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spindex import (
+    ConstantProvider,
     all_faces,
     build_root_system,
     dominant_representative,
@@ -16,9 +18,15 @@ from spindex import (
     face_of,
     is_regular,
     levi_conjugate,
+    model_from_json_obj,
+    model_to_json_obj,
+    orbit_model,
+    roots,
     stabilizer_classes,
+    su3_flag_bundle,
+    verify_qr,
 )
-from spindex.errors import NotDominant, UnknownType, WeylGroupTooLarge
+from spindex.errors import FaceListTooLarge, NotDominant, UnknownType, WeylGroupTooLarge
 from spindex.weights import wadd, weight, wscale, zero_weight
 
 from weyl_oracle import simple_reflection, weyl_group
@@ -317,6 +325,33 @@ def test_exceptional_stabilizer_classes(label, sizes):
     assert sorted(len(c.representative_faces) for c in classes) == sizes
     members = [f for c in classes for f in c.representative_faces]
     assert len(members) == 2 ** rs.rank and set(members) == set(all_faces(rs))
+
+
+def test_the_face_listing_is_bounded_before_it_starts():
+    # |W| >= 2^rank, so a group past 2^16 faces could not walk the orbit of rho either
+    rs = build_root_system("A30")
+    start = time.monotonic()
+    with pytest.raises(FaceListTooLarge, match=r"A30 has 2\^30 chamber faces"):
+        stabilizer_classes(rs)
+    assert time.monotonic() - start < 1 and not rs._face_cache
+
+
+def test_no_model_path_lists_the_faces(monkeypatch):
+    def refuse(rs):
+        raise AssertionError(f"all_faces({rs.label}) called on a model path")
+
+    monkeypatch.setattr(roots, "all_faces", refuse)
+    a17 = orbit_model(build_root_system("A17"), (1,) + (0,) * 16)  # 18 points, Levi A16
+    assert len(a17.fixed_points) == 18
+    assert [sorted(f.vanishing_set) for f in a17.generic_stabilizer.representative_faces] == [
+        list(range(1, 17)), list(range(2, 18))]
+    e6_ray = orbit_model(build_root_system("E6"), (1, 0, 0, 0, 0, 0))
+    assert len(e6_ray.fixed_points) == 27
+    su3 = su3_flag_bundle(1, 3)
+    for model in (a17, e6_ray, su3):
+        again = model_from_json_obj(json.loads(json.dumps(model_to_json_obj(model))))
+        assert again.generic_stabilizer == model.generic_stabilizer
+    assert verify_qr(su3, ConstantProvider(1)).match
 
 
 def _string_positive_roots(cartan):
