@@ -423,7 +423,8 @@ def _at(y, x) -> int:
 
 def _torus_point(rs: RootSystem) -> tuple:
     """A seeded point y over F_p (redrawn while A_rho(y) = 0), the frames (sign(w),
-    [y^{w omega_j}]_j) of W from one walk of the rho orbit, and A_rho(y); cached."""
+    [y^{w omega_j}]_j) of W from one walk of the rho orbit, and the values
+    A_lam(y) found so far, A_rho(y) first; cached."""
     cached = rs.char_cache.get("point")
     if cached is None:
         images = {rs.rho: (1, [tuple(int(j == k) for k in range(rs.rank)) for j in range(rs.rank)])}
@@ -434,15 +435,18 @@ def _torus_point(rs: RootSystem) -> tuple:
         while not a_rho:
             y = [rng.randrange(1, _PRIME) for _ in range(rs.rank)]
             frames = [(sign, [_at(y, w) for w in omegas]) for sign, omegas in images.values()]
-            a_rho = _alternating_at({rs.rho: 1}, frames)
-        cached = rs.char_cache["point"] = (y, frames, a_rho)
+            a_rho = _alternating_at({rs.rho: 1}, frames, values := {})
+        cached = rs.char_cache["point"] = (y, frames, values)
     return cached
 
 
-def _alternating_at(mult: dict, frames) -> int:
-    """sum_lam m_lam A_lam(y) mod p, with A_lam(y) = sum_w sign(w) prod_j z_{w,j}^{lam_j}."""
-    return sum(m * sign * prod(map(pow, z, lam, repeat(_PRIME)))
-               for lam, m in mult.items() for sign, z in frames) % _PRIME
+def _alternating_at(mult: dict, frames, values: dict) -> int:
+    """sum_lam m_lam A_lam(y) mod p, with A_lam(y) = sum_w sign(w) prod_j z_{w,j}^{lam_j}
+    kept in ``values`` once computed."""
+    for lam in mult.keys() - values.keys():
+        values[lam] = sum(sign * prod(map(pow, z, lam, repeat(_PRIME)))
+                          for sign, z in frames) % _PRIME
+    return sum(m * values[lam] for lam, m in mult.items()) % _PRIME
 
 
 def _value_at(terms: dict, cols: list[list[int]], y: list[int]) -> int:
@@ -473,7 +477,7 @@ def decompose(chi: VirtualCharacter, rs: RootSystem) -> Decomposition:
     if not _is_invariant(terms, rs, cols):
         raise NotWeylInvariant("input character is not Weyl-invariant")
     mult = _antisymmetrize(chi, rs, cols)
-    y, frames, a_rho = _torus_point(rs)
-    if _value_at(terms, cols, y) * a_rho % _PRIME != _alternating_at(mult, frames):
+    y, frames, values = _torus_point(rs)
+    if _value_at(terms, cols, y) * values[rs.rho] % _PRIME != _alternating_at(mult, frames, values):
         raise MethodMismatch("antisymmetrization fails the Weyl character formula over F_p")
     return Decomposition(mult)

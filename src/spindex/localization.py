@@ -124,7 +124,7 @@ class FixedPointDatum:
             raise ParityViolation(
                 f"fixed point {self.label!r}: determinant weight must be integral")
         tangents = _checked_tangents(self.label, self.tangent_weights, len(det))
-        gap = _less_sum(det, tangents)
+        gap = tuple(c - sum(cs) for c, *cs in zip(det, *tangents, strict=True))
         if any(c % 2 for c in gap):
             raise _parity_violation(self.label, gap)
         object.__setattr__(self, "det_weight", det)
@@ -161,11 +161,6 @@ def _parity_violation(label: str, gap) -> ParityViolation:
     return ParityViolation(
         f"fixed point {label!r}: eta - sum(tangent weights) = ({format_weight(gap)}) is "
         f"not in 2*Lambda; no spin-c structure has this determinant")
-
-
-def _less_sum(w: tuple[int, ...], ws) -> tuple[int, ...]:
-    """w - sum(ws), in one pass over the coordinates; all lengths must agree."""
-    return tuple(c - sum(cs) for c, *cs in zip(w, *ws, strict=True))
 
 
 @dataclass(frozen=True)
@@ -280,33 +275,44 @@ def _direction(model: ManifoldModel) -> tuple[int, ...]:
 
 
 class _PointData:
-    __slots__ = ("nu", "oriented", "sign", "base", "total")
+    __slots__ = ("nu", "oriented", "pairs", "sign", "base", "total")
 
-    def __init__(self, fp: FixedPointDatum, xi, orient: dict):
-        # orient maps each tangent weight to its orientation along xi, its
-        # pairing |<a, xi>| and the sign of the flip (see _points)
-        oriented, total, sign = [], 0, 1
-        for a in fp.tangent_weights:
-            b, n, flip = orient[a]
-            oriented.append(b)
-            total += n
-            sign *= flip
-        self.total = total  # the sum of the oriented pairings
-        self.sign = sign
+    def __init__(self, det, xi, setup):
+        self.oriented, self.pairs, self.sign, self.total, oriented_sum = setup
         # eta - sum(oriented) differs from eta - sum(tangents), which
         # FixedPointDatum checked is in 2*Lambda, by twice the flipped weights
-        self.nu = tuple(c // 2 for c in _less_sum(fp.det_weight, oriented))
-        self.oriented = tuple(sorted(oriented))
+        self.nu = tuple(c // 2 for c in map(sub, det, oriented_sum))
         self.base = _pair(self.nu, xi)
 
 
-def _points(model: ManifoldModel, xi) -> list[_PointData]:
-    """Each fixed point's data along xi, from one pairing per distinct tangent weight."""
-    orient = {}
-    for a in _tangent_set(model):
-        n = _pair(a, xi)
-        orient[a] = (a, n, 1) if n >= 0 else (wneg(a), -n, -1)
-    return [_PointData(fp, xi, orient) for fp in model.fixed_points]
+def _setup(model: ManifoldModel, xi) -> tuple:
+    """The direction (``_direction`` when xi is None) and, per fixed point, its
+    oriented tangent weights, sorted, with their pairings, the flip sign and
+    the sums of both; none reads a determinant, so it is kept per tangent
+    structure."""
+    key = ("setup", xi, tuple(fp.tangent_weights for fp in model.fixed_points))
+    cached = model.root_system.char_cache.get(key)
+    if cached is None:
+        d = _direction(model) if xi is None else xi
+        orient = {}  # each distinct tangent weight, oriented, with its pairing and flip
+        for a in _tangent_set(model):
+            n = _pair(a, d)
+            orient[a] = (a, n, 1) if n >= 0 else (wneg(a), -n, -1)
+        points = []
+        for fp in model.fixed_points:
+            got = sorted(orient[a] for a in fp.tangent_weights)
+            oriented = tuple(b for b, _, _ in got)
+            points.append((oriented, tuple(n for _, n, _ in got), math.prod(f for *_, f in got),
+                           sum(n for _, n, _ in got),
+                           tuple(sum(b[i] for b in oriented) for i in range(len(d)))))
+        cached = model.root_system.char_cache[key] = (d, points)
+    return cached
+
+
+def _points(model: ManifoldModel, xi=None) -> tuple[tuple[int, ...], list[_PointData]]:
+    """The direction and each fixed point's data along it, from the kept set-up."""
+    xi, setup = _setup(model, xi)
+    return xi, [_PointData(fp.det_weight, xi, s) for fp, s in zip(model.fixed_points, setup)]
 
 
 def _window(points: list[_PointData]) -> tuple[int, int, int]:
@@ -465,24 +471,25 @@ def localized_index(model: ManifoldModel) -> VirtualCharacter:
     """
     if not model.fixed_points:
         return VirtualCharacter.zero()
-    return _localize(model, _direction(model))
+    return _localize(model)
 
 
-def _localize(model: ManifoldModel, xi: tuple[int, ...]) -> VirtualCharacter:
-    """The series expansion along the generic integral direction xi, summed over fixed points."""
-    points = _points(model, xi)
+def _localize(model: ManifoldModel, xi: tuple[int, ...] | None = None) -> VirtualCharacter:
+    """The series expansion along the generic integral direction xi (by default
+    the model's own), summed over fixed points."""
+    xi, points = _points(model, xi)
     groups: dict[tuple, list[_PointData]] = {}
     for pd in points:
         groups.setdefault(pd.oriented, []).append(pd)
-    pairs = {oriented: tuple(_pair(a, xi) for a in oriented) for oriented in groups}
     floor, top, bound = _window(points)
-    bounds, strides = _packing([pd.nu for pd in points], pairs.items(), top - floor)
+    bounds, strides = _packing([pd.nu for pd in points],
+                               [(o, ms[0].pairs) for o, ms in groups.items()], top - floor)
     half = sum(map(mul, bounds, strides))
     series, size, cmax = [], 0, 0
     for oriented, members in groups.items():
         # floor < low, so every point has base > floor and at least one term
         deepest = max(pd.base for pd in members) - floor
-        coords, drop, vcoef = _series(model.root_system, oriented, pairs[oriented], deepest)
+        coords, drop, vcoef = _series(model.root_system, oriented, members[0].pairs, deepest)
         # the terms of a point with pairing >= floor are a prefix of the shared series
         ms = np.searchsorted(drop, [pd.base - floor for pd in members], side="right").tolist()
         if (size := size + sum(ms)) > _SERIES_BOUND:
@@ -574,6 +581,7 @@ def _frame(rs: RootSystem, sigma: Face) -> tuple[list, list, list]:
         at = {r: k for k, r in enumerate(roots)}
         perms = [[at[rs.reflect(i, r)] for r in roots] for i in range(rs.rank)]
         walk = _orbit(rs, _face_point(sigma, rs))
+        stabilizer_class_of_face(sigma, rs, walk)  # kept, so orbit_model walks once
         pos = {x: k for k, x in enumerate(walk)}
         links = [(pos.get(parent, -1), i) for parent, i in walk.values()]
         levi = set(sigma.levi_positive_roots)
@@ -635,6 +643,28 @@ LITERAL_CONVENTION = "literal"
 CALIBRATED_CONVENTION = "calibrated"
 
 
+def _su3_frame(rs: RootSystem) -> list:
+    """Label, plane and line weights, tangent weights (checked here) and their
+    sum at each fixed point of ``su3_flag_bundle``, which a and b do not move."""
+    cached = rs.char_cache.get("su3")
+    if cached is None:
+        x = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
+        cached = []
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            k = ({1, 2, 3} - {i, j}).pop()
+            for line_label, line_weight, last_tangent in (
+                (f"e{k}", x[k], wneg(x[k])),
+                ("e4", (0, 0), x[k]),
+            ):
+                label = f"plane=e{i}e{j},line={line_label}"
+                tangents = _checked_tangents(
+                    label, (wsub(x[k], x[i]), wsub(x[k], x[j]), last_tangent), rs.rank)
+                cached.append((label, wadd(x[i], x[j]), line_weight, tangents,
+                               tuple(map(sum, zip(*tangents)))))
+        rs.char_cache["su3"] = cached
+    return cached
+
+
 def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> ManifoldModel:
     """The SU(3) family: the partial flag bundle fibered in projective lines.
 
@@ -669,27 +699,16 @@ def su3_flag_bundle(a: int, b: int, convention: str = CALIBRATED_CONVENTION) -> 
     if convention not in (CALIBRATED_CONVENTION, LITERAL_CONVENTION):
         raise SpindexError(f"unknown determinant convention {convention!r}")
     rs = _shared_root_system("A2")
-    x = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
     fixed = []
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        k = ({1, 2, 3} - {i, j}).pop()
-        plane = wadd(x[i], x[j])
-        for line_label, line_weight, last_tangent in (
-            (f"e{k}", x[k], wneg(x[k])),
-            ("e4", (0, 0), x[k]),
-        ):
-            tangents = (wsub(x[k], x[i]), wsub(x[k], x[j]), last_tangent)
-            if convention == CALIBRATED_CONVENTION:
-                det = tuple(2 * (a - b + 2) * p - 2 * b * q + sum(ts)
-                            for p, q, *ts in zip(plane, line_weight, *tangents))
-            else:
-                det = tuple((2 * a + 1) * p + (2 * b + 1) * q
-                            for p, q in zip(plane, line_weight))
-            fixed.append(FixedPointDatum(
-                label=f"plane=e{i}e{j},line={line_label}",
-                det_weight=det,
-                tangent_weights=tangents,
-            ))
+    for label, plane, line_weight, tangents, total in _su3_frame(rs):
+        if convention == CALIBRATED_CONVENTION:
+            det = tuple(2 * (a - b + 2) * p - 2 * b * q + t
+                        for p, q, t in zip(plane, line_weight, total))
+        else:
+            det = tuple((2 * a + 1) * p + (2 * b + 1) * q for p, q in zip(plane, line_weight))
+        if any(map(and_, map(sub, det, total), repeat(1))):  # an odd coordinate
+            raise _parity_violation(label, tuple(map(sub, det, total)))
+        fixed.append(FixedPointDatum._checked(label, det, tangents))
     ray_omega1 = face_from_vanishing_set(frozenset({2}), rs)
     ray_omega2 = face_from_vanishing_set(frozenset({1}), rs)
     if b > a:
@@ -808,23 +827,24 @@ def kirwan_faces_met(kirwan: KirwanSet, rs: RootSystem) -> set[Face]:
 def kirwan_admissible_orbits(kirwan: KirwanSet, face: Face, rs: RootSystem) -> list[CoadjointOrbit]:
     """Admissible orbits whose representative lies in rel-int(face) and in the Kirwan set.
 
-    Sorted by representative; point pieces filter their bounding box by hull membership.
-    A segment from 0 also meets the vertex face, at the origin.
+    Sorted by representative, on the doubled ints; point pieces filter their
+    bounding box by hull membership.  A segment from 0 also meets the vertex
+    face, at the origin.
     """
-    found: dict[Weight, CoadjointOrbit] = {}
+    found: dict[tuple[int, ...], CoadjointOrbit] = {}
     for piece in kirwan.pieces:
         if piece.face == face or (not face.free_coordinates
                                   and any(lo == 0 for lo, _ in piece.segments)):
             for lo, hi in piece.segments:
                 for orbit in admissible_orbits_on_face(face, (lo, hi), rs):
-                    found[orbit.mu] = orbit
+                    found[orbit.mu2] = orbit
         if piece.points:
             box = {i + 1: (min(p[i] for p in piece.points), max(p[i] for p in piece.points))
                    for i in face.free_coordinates}
             for orbit in admissible_orbits_on_face(face, box, rs):
                 if _in_hull(piece.points, orbit.mu):
-                    found[orbit.mu] = orbit
-    return [found[mu] for mu in sorted(found)]
+                    found[orbit.mu2] = orbit
+    return [found[mu2] for mu2 in sorted(found)]
 
 
 # -- moment sanity report --------------------------------------------------------

@@ -5,6 +5,7 @@ is admissible when ``mu - rho + rho_sigma`` is a lattice weight.  Its spin-c
 index is either zero (when ``mu + rho_sigma`` is singular) or the irreducible
 representation with infinitesimal character ``mu + rho_sigma``; reports always
 show both that character and the highest weight obtained by subtracting rho.
+Admissible weights lie in Lambda / 2, so orbits are listed on ``2 mu`` as ints.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from .errors import (
     OrbitRegionTooLarge,
 )
 from .roots import _ORBIT_BOUND, Face, RootSystem, _zero_set, face_of, is_regular
-from .weights import (
-    Weight,
-    format_weight,
-    is_dominant,
-    weight,
-    wsub,
-)
-
-Interval = tuple[Fraction, Fraction]
+from .weights import Weight, format_weight, is_dominant, weight
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,9 @@ class CoadjointOrbit:
     """Orbit through its dominant representative, tagged with the containing face.
 
     Raises NotDominant for a representative with a negative coordinate and
-    NotOnFace for one outside the relative interior of the face.
+    NotOnFace for one outside the relative interior of the face.  ``mu2`` is
+    2 mu; an orbit that the enumeration made (``_doubled``) holds only that,
+    as ints, and makes ``mu`` when it is first read.
     """
 
     mu: Weight
@@ -51,6 +46,20 @@ class CoadjointOrbit:
         if len(self.mu) != len(self.face.rho_sigma) or _zero_set(self.mu) != self.face.vanishing_set:
             raise NotOnFace(f"orbit representative ({format_weight(self.mu)}) does not lie "
                             f"on the face {self.face.label()}")
+        object.__setattr__(self, "mu2", tuple(2 * c for c in self.mu))
+
+    @classmethod
+    def _doubled(cls, mu2: tuple[int, ...], face: Face) -> "CoadjointOrbit":
+        """The orbit through mu2 / 2, which its caller has checked; __post_init__ does not run."""
+        orbit = object.__new__(cls)
+        vars(orbit).update(mu2=mu2, face=face)
+        return orbit
+
+    def __getattr__(self, name):  # reached only for the mu of a _doubled orbit, once
+        if name != "mu":
+            raise AttributeError(name)
+        mu = vars(self)["mu"] = tuple(Fraction(c, 2) for c in self.mu2)
+        return mu
 
     def label(self) -> str:
         return f"K.({format_weight(self.mu)})"
@@ -99,21 +108,16 @@ def is_admissible(mu: Weight, rs: RootSystem) -> bool:
     if not is_dominant(mu):
         raise NotDominant(
             f"admissibility test requires a dominant weight, got ({format_weight(mu)})")
-    return _admissible_on(mu, face_of(mu, rs))
-
-
-def _admissible_on(mu: Weight, face: Face) -> bool:
-    """The lattice test for a mu on the face, read off the denominators of mu."""
-    return all(c.denominator == d for c, d in zip(mu, face.admissible_denominators))
+    return not any((2 * c + s) % 2 for c, s in zip(mu, face_of(mu, rs).doubled_rho_sigma))
 
 
 def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
     """Index of an admissible orbit: zero on a wall, else one irreducible."""
-    if not _admissible_on(orbit.mu, orbit.face):
+    # admissible: mu + rho_sigma = (2 mu + 2 rho_sigma) / 2 is integral
+    twice = tuple(c + s for c, s in zip(orbit.mu2, orbit.face.doubled_rho_sigma))
+    if any(c % 2 for c in twice):  # for a Fraction mu too: c % 2 is 0 only at even integers
         raise NotAdmissible(f"orbit {orbit.label()} is not admissible")
-    # admissible: mu_i and rho_sigma_i share a denominator, and their sum is an integer
-    shifted = tuple((c.numerator + s.numerator) // c.denominator
-                    for c, s in zip(orbit.mu, orbit.face.rho_sigma))
+    shifted = tuple(c // 2 for c in twice)
     # a dominant weight is regular exactly when every simple coordinate is > 0
     low = min(shifted)
     if not (low > 0 if low >= 0 else is_regular(shifted, rs)):
@@ -123,16 +127,6 @@ def orbit_spin_index(orbit: CoadjointOrbit, rs: RootSystem) -> OrbitIndex:
         raise NotAdmissible(f"orbit {orbit.label()} shifts to ({format_weight(shifted)}), "
                             f"which is not a dominant lattice weight")
     return OrbitIndex.irreducible(shifted)
-
-
-def _admissible_run(base_residue: Fraction, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """The least c > 0 in [lo, hi] congruent to base_residue mod 1, and how many
-    values c, c + 1, ... stay at most hi."""
-    start = max(lo, Fraction(0))
-    c = start + (base_residue - start) % 1
-    if c == 0:
-        c += 1
-    return c, max(0, math.floor(hi - c) + 1)
 
 
 def admissible_orbits_on_face(
@@ -148,13 +142,14 @@ def admissible_orbits_on_face(
     bound of 0 means "arbitrarily small positive".  The vertex face needs no
     bounds.  Results are sorted by their free-parameter tuple.  A region of
     more than 2^16 admissible orbits raises OrbitRegionTooLarge before any is
-    built.
+    built.  Each free 2 mu_i runs over the ints >= 1 in [2 lo, 2 hi] of the
+    parity of 2 rho_sigma_i, the parity a fixed coordinate must have.
     """
     rank = rs.rank
     free = face.free_coordinates
+    parity = [c % 2 for c in face.doubled_rho_sigma]
     if not free:
-        mu = tuple(Fraction(0) for _ in range(rank))
-        return [CoadjointOrbit(mu, face)] if _admissible_on(mu, face) else []
+        return [] if any(parity) else [CoadjointOrbit._doubled((0,) * rank, face)]
     if bounds is None:
         raise EmptyFaceRegion(f"face {face.label()} has free coordinates; bounds required")
     if isinstance(bounds, dict):
@@ -170,21 +165,22 @@ def admissible_orbits_on_face(
     for lo, hi in per_coord.values():
         if hi < lo:
             raise EmptyFaceRegion(f"empty interval [{lo}, {hi}]")
-    # fixed coordinates must themselves satisfy the integrality condition
-    shift = wsub(rs.rho, face.rho_sigma)
-    if any(shift[i - 1].denominator != 1 for i in face.vanishing_set):
+    if any(parity[i - 1] for i in face.vanishing_set):
         return []
-    # each run starts at the admissible residue mod 1, so every value is admissible
-    runs = [_admissible_run(shift[i] % 1, *per_coord[i]) for i in free]
-    total = math.prod(n for _, n in runs)
+    runs = []
+    for i in free:
+        lo, hi = per_coord[i]
+        first = max(math.ceil(2 * lo), 1)
+        runs.append(range(first + (first - parity[i]) % 2, math.floor(2 * hi) + 1, 2))
+    total = math.prod(map(len, runs))
     if total > _ORBIT_BOUND:
         raise OrbitRegionTooLarge(f"face {face.label()} has {total} admissible orbits in "
                                   f"the region, more than {_ORBIT_BOUND}")
     orbits = []
-    # the product of ascending value lists is already in lexicographic order
-    for combo in itertools.product(*([c + k for k in range(n)] for c, n in runs)):
-        mu = [Fraction(0)] * rank
+    mu2 = [0] * rank
+    # the product of ascending ranges is already in lexicographic order
+    for combo in itertools.product(*runs):
         for i, c in zip(free, combo):
-            mu[i] = c
-        orbits.append(CoadjointOrbit(tuple(mu), face))
+            mu2[i] = c
+        orbits.append(CoadjointOrbit._doubled(tuple(mu2), face))
     return orbits

@@ -54,14 +54,13 @@ class Face:
     levi_positive_roots: tuple[Weight, ...]
 
     @cached_property
-    def admissible_denominators(self) -> tuple[int, ...]:
-        """The denominator of each coordinate of an admissible weight on this face.
+    def doubled_rho_sigma(self) -> tuple[int, ...]:
+        """2 rho_sigma, a sum of roots, as ints.
 
-        mu - rho + rho_sigma is integral exactly when each mu_i has the
-        denominator of (rho - rho_sigma)_i, which is 1 or 2 because 2 rho_sigma
-        is a sum of roots and rho = (1, ..., 1).
+        mu - rho + rho_sigma is integral exactly when every 2 mu_i + 2 rho_sigma_i
+        is even, as rho = (1, ..., 1): admissible weights lie in Lambda / 2.
         """
-        return tuple((1 - c).denominator for c in self.rho_sigma)
+        return tuple(int(2 * c) for c in self.rho_sigma)
 
     @cached_property
     def free_coordinates(self) -> tuple[int, ...]:
@@ -422,18 +421,19 @@ def levi_conjugate(f1: Face, f2: Face, rs: RootSystem) -> bool:
         _zero_set(x) == f2.vanishing_set for x in _orbit(rs, _face_point(f1, rs)))
 
 
-def stabilizer_class_of_face(f: Face, rs: RootSystem) -> StabilizerClass:
+def stabilizer_class_of_face(f: Face, rs: RootSystem, walk=None) -> StabilizerClass:
     """Levi-conjugacy class of a chamber face, members in ``all_faces`` order.
 
     Face K is in it exactly when some point of the orbit of mu_f vanishes
     exactly at K and |Phi_K| = |Phi_f| (see ``levi_conjugate``), so the class
-    is read off the zero sets of one orbit walk.
+    is read off the zero sets of one orbit walk: ``walk``, when the caller has
+    already walked the orbit of mu_f.
     """
     cls = rs._class_of.get(f)
     if cls is None:
         if f != face_from_vanishing_set(f.vanishing_set, rs):
             raise UnknownType(f"face {f.label()} is not a chamber face of {rs.label}")
-        zero_sets = sorted({_zero_set(x) for x in _orbit(rs, _face_point(f, rs))},
+        zero_sets = sorted({_zero_set(x) for x in walk or _orbit(rs, _face_point(f, rs))},
                            key=lambda z: (len(z), sorted(z)))
         size = len(f.levi_positive_roots)
         cls = StabilizerClass(tuple(
@@ -444,5 +444,10 @@ def stabilizer_class_of_face(f: Face, rs: RootSystem) -> StabilizerClass:
 
 
 def stabilizer_classes(rs: RootSystem) -> list[StabilizerClass]:
-    """Partition of all chamber faces into Levi-conjugacy classes, in ``all_faces`` order."""
+    """Partition of all chamber faces into Levi-conjugacy classes, in ``all_faces`` order.
+
+    The open face's class, the walk of rho, the largest orbit, comes before
+    the listing, so a group past the orbit bound fails at once."""
+    if 2 ** rs.rank <= _ORBIT_BOUND:
+        stabilizer_class_of_face(face_from_vanishing_set(frozenset(), rs), rs)
     return list(dict.fromkeys(stabilizer_class_of_face(f, rs) for f in all_faces(rs)))

@@ -80,7 +80,8 @@ def weight_to_json(w: Weight) -> list[str]:
 
 
 def weight_from_json(obj: Sequence[str]) -> Weight:
-    """Rationals from a JSON list; ValueError names a coordinate that is not a rational."""
+    """Rationals from a JSON list of strings or integers; ValueError names a
+    coordinate that is not one, a JSON float or boolean included."""
     if not isinstance(obj, list):
         raise ValueError(f"a weight must be a list of rationals, got {obj!r}")
     out = []
@@ -93,4 +94,7 @@ def weight_from_json(obj: Sequence[str]) -> Weight:
         except (ValueError, TypeError, OverflowError):  # "x", null, a list, Infinity or NaN
             raise ValueError(
                 f"coordinate {k} of the weight {obj} is not a rational: {c!r}") from None
+        if isinstance(c, (float, bool)):  # a finite float: binary, so not what was meant
+            raise ValueError(f"coordinate {k} of the weight {obj} is a JSON {type(c).__name__}, "
+                             f"not an exact rational: {c!r}")
     return tuple(out)

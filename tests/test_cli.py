@@ -393,6 +393,15 @@ def test_a_face_listing_past_the_bound_exits_2_before_listing(capsys):
         2, "", "error: A30 has 2^30 chamber faces, more than the 65536 to list\n")
 
 
+def test_a_group_past_the_orbit_bound_fails_before_listing_its_faces(capsys):
+    # A16 has 2^16 faces, within the listing bound, but the open face's class
+    # walks the orbit of rho (17! points), which is walked first
+    start = time.monotonic()
+    code, out, err = run(capsys, "faces", "--group", "A16")
+    assert time.monotonic() - start < 2
+    assert (code, out, err) == (2, "", "error: a Weyl orbit of A16 has more than 65536 points\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("orbits", "--group", "A5", "--face", "open", "--max", "60"),  # 60^5 orbits
     ("orbits", "--group", "A1", "--face", "open", "--max", "100000000"),
@@ -564,3 +573,47 @@ def test_weights_of_two_lengths_at_one_fixed_point_exit_2(capsys, tmp_path, extr
     assert (code, out) == (2, "")
     assert err == (f"error: fixed point 'w(1,1)': tangent weight ({','.join(tangent)}) has "
                    f"{2 + extra} coordinates but the determinant weight has 2\n")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda obj: obj["kirwan"][0].__setitem__("segments", [[0, 2.0000000001]]),
+     "coordinate 2 of the weight [0, 2.0000000001] is a JSON float, not an exact rational: "
+     "2.0000000001"),
+    (lambda obj: obj["fixed_points"][0]["det_weight"].__setitem__(1, 0.1),
+     "coordinate 2 of the weight ['0', 0.1] is a JSON float, not an exact rational: 0.1"),
+    (lambda obj: obj["fixed_points"][0]["tangent_weights"][0].__setitem__(0, 1.0),
+     "coordinate 1 of the weight [1.0, '-1'] is a JSON float, not an exact rational: 1.0"),
+    (lambda obj: obj["kirwan"][1]["segments"][0].__setitem__(0, True),
+     "coordinate 1 of the weight [True, '2'] is a JSON bool, not an exact rational: True"),
+], ids=["segment-float", "weight-float", "integral-float", "bool"])
+def test_a_json_float_or_bool_in_a_model_file_is_one_usage_error(capsys, tmp_path, edit, reason):
+    path = tmp_path / "model.json"
+    assert run(capsys, "export-model", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+               "--out", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    for command in ("index", "verify-qr"):
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: malformed model file {path}: ValueError({reason!r})\n"
+
+
+def test_json_integers_in_a_model_file_and_a_table_are_read_exactly(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    assert run(capsys, "export-model", "--model", "su3-flag-bundle", "--a", "1", "--b", "3",
+               "--out", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    for fp in obj["fixed_points"]:
+        fp["det_weight"] = [int(c) for c in fp["det_weight"]]
+    obj["kirwan"][0]["segments"] = [[0, 2]]
+    path.write_text(json.dumps(obj))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"entries": [{"mu": ["1/2", 0], "value": 1}]}))
+    code, out, _ = run(capsys, "verify-qr", "--model", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"] == "match"
+    table.write_text(json.dumps({"entries": [{"mu": [0.5, 0], "value": 1}]}))
+    code, out, err = run(capsys, "verify-qr", "--model", str(path), "--provider", f"table:{table}")
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: cannot parse provider 'table:{table}': coordinate 1 of the "
+                   f"weight [0.5, 0] is a JSON float, not an exact rational: 0.5\n")

@@ -65,9 +65,11 @@ def test_decompose_builds_no_irreducible_character():
     for label, rs in systems.items():
         kinds = {key if isinstance(key, str) else key[0] for key in rs.char_cache}
         # the Weyl denominator, its chamber masks, the point of the torus with
-        # its frames, the kept series of the localization engine and the
-        # fixed-point frames of the orbit models; no ("chi", lam) or ("dominant", lam)
-        assert kinds <= {"denominator", "chamber", "point", "series", "frame"}, (label, kinds)
+        # its frames and values, the kept series and set-ups of the localization
+        # engine, the fixed-point frames of the orbit models and the su3 frame;
+        # no ("chi", lam) or ("dominant", lam)
+        assert kinds <= {"denominator", "chamber", "point", "series", "setup", "frame",
+                         "su3"}, (label, kinds)
         assert {"denominator", "chamber", "point"} <= kinds
         assert ("frame" in kinds) == (label != "su3"), (label, kinds)
 
@@ -86,6 +88,25 @@ def test_a_corrupted_antisymmetrization_raises_method_mismatch(monkeypatch):
     monkeypatch.setattr(characters, "_antisymmetrize", corrupted)
     with pytest.raises(MethodMismatch, match="Weyl character formula"):
         decompose(chi, rs)
+
+
+def test_a_raised_multiplicity_fails_once_its_alternating_value_is_kept(monkeypatch):
+    # A_lam(y) is kept per lam at the seeded point; a kept value still checks
+    rs = build_root_system("A2")
+    chi = localized_index(su3_flag_bundle(2, 7))
+    mult = decompose(chi, rs).multiplicities()
+    values = characters._torus_point(rs)[2]
+    assert set(mult) | {rs.rho} == set(values)
+    kept = dict(values)
+    assert decompose(chi, rs).multiplicities() == mult and values == kept
+    honest = characters._antisymmetrize
+    for lam in mult:
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "_antisymmetrize",
+                          lambda *args: {**honest(*args), lam: mult[lam] + 1})
+            with pytest.raises(MethodMismatch, match="Weyl character formula"):
+                decompose(chi, rs)
+    assert values == kept
 
 
 @pytest.mark.parametrize("pool", ["orbit-grid", "su3"])

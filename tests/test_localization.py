@@ -224,6 +224,58 @@ def test_a_parity_gap_in_a_frame_built_model_raises(monkeypatch):
         orbit_model(rs, (1, 1))
 
 
+def test_a_cold_orbit_model_walks_its_orbit_once(monkeypatch):
+    # the frame's walk of the face point also yields the stabilizer class
+    from spindex import roots
+    for label, vanishing in (("A3", {2, 3}), ("B2", set()), ("G2", {1})):
+        rs = build_root_system(label)
+        face = roots.face_from_vanishing_set(frozenset(vanishing), rs)
+        mu, other = (o.mu for o in admissible_orbits_on_face(face, (Q(0), Q(3)), rs)[:2])
+        walks = []
+        honest = roots._orbit
+
+        def counted(rs_, x):
+            walks.append(x)
+            return honest(rs_, x)
+
+        with monkeypatch.context() as patch:
+            for module in (roots, localization):
+                patch.setattr(module, "_orbit", counted)
+            model = orbit_model(rs, mu)
+            assert len(walks) == 1, (label, walks)
+            orbit_model(rs, other)
+            assert len(walks) == 1, (label, walks)
+        cold = orbit_model(build_root_system(label), mu)
+        assert model_to_json_obj(model) == model_to_json_obj(cold)
+
+
+def test_the_su3_frame_is_built_once_and_shared():
+    first, second = su3_flag_bundle(1, 3), su3_flag_bundle(7, 2)
+    assert [fp.label for fp in first.fixed_points] == [fp.label for fp in second.fixed_points]
+    for p, q in zip(first.fixed_points, second.fixed_points):
+        assert p.tangent_weights is q.tangent_weights
+        again = FixedPointDatum(p.label, p.det_weight, p.tangent_weights)
+        assert again == p and hash(again) == hash(p)
+
+
+def test_models_of_one_tangent_structure_share_one_setup():
+    # two determinant weights on one tangent structure: one kept set-up entry,
+    # and each model expands to what a cold root system gives it
+    for label, models in (
+            ("A2", [su3_flag_bundle(1, 3), su3_flag_bundle(6, 2)]),
+            ("A3", [orbit_model(build_root_system("A3"), mu) for mu in ((1, 2, 1), (3, 1, 2))])):
+        warm = build_root_system(label)
+        moved = [replace(m, root_system=warm) for m in models]
+        assert moved[0].fixed_points[0].det_weight != moved[1].fixed_points[0].det_weight
+        got = [localized_index(m) for m in moved]
+        assert [k[0] for k in warm.char_cache].count("setup") == 1, label
+        cold = [localized_index(replace(m, root_system=build_root_system(label)))
+                for m in models]
+        assert got == cold and got[0] != got[1], label
+        assert [decompose(chi, warm) for chi in got] == [
+            decompose(chi, build_root_system(label)) for chi in cold]
+
+
 def frozenset_multiset(items):
     out = {}
     for x in items:
@@ -661,7 +713,7 @@ def test_su3_pool_is_independent_of_the_direction():
 def _depth(model):
     """The deepest series depth the model asks for along its direction."""
     xi = _direction(model)
-    floor, top, _ = _window(_points(model, xi))
+    floor, top, _ = _window(_points(model, xi)[1])
     return top - floor
 
 
@@ -720,7 +772,7 @@ def test_every_nonzero_pool_character_reaches_its_lower_support_bound():
             chi = localized_index(model)
             if chi.terms():
                 xi = _direction(model)
-                _, top, bound = _window(_points(model, xi))
+                _, top, bound = _window(_points(model, xi)[1])
                 pairings = [_pair(w, xi) for w in chi.terms()]
                 assert min(pairings) == bound and max(pairings) <= top, model.name
                 nonzero[pool] += 1

@@ -1,7 +1,10 @@
 """Admissible orbits and their spin-c indices."""
 
+import random
+import re
 from fractions import Fraction as Q
 
+import orbit_oracle
 import pytest
 
 import spindex.orbits
@@ -235,3 +238,58 @@ def test_zero_index_iff_shift_singular(a2):
 
         shifted = wadd(o.mu, o.face.rho_sigma)
         assert orbit_spin_index(o, a2).is_zero == (not is_regular(shifted, a2))
+
+
+_ENDPOINTS = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(7, 3), Q(5, 2), Q(3), Q(-1, 2)]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_the_doubled_enumeration_matches_the_fraction_oracle(label):
+    # seeded faces and bounds, 0, half-integers, 7/3 and empty intervals
+    # included, as one interval or per coordinate: the same orbits in the same
+    # order, the same errors, and the same index at every orbit
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    faces = all_faces(rs)
+    compared = raised = 0
+    for _ in range(60):
+        face = rng.choice(faces)
+        if rng.random() < 0.5:
+            bounds = (rng.choice(_ENDPOINTS), rng.choice(_ENDPOINTS))
+        else:
+            bounds = {i + 1: (rng.choice(_ENDPOINTS), rng.choice(_ENDPOINTS))
+                      for i in face.free_coordinates}
+        try:
+            want = orbit_oracle.admissible_orbits_on_face(face, bounds, rs)
+        except EmptyFaceRegion as exc:
+            with pytest.raises(EmptyFaceRegion, match=re.escape(str(exc))):
+                admissible_orbits_on_face(face, bounds, rs)
+            raised += 1
+            continue
+        got = admissible_orbits_on_face(face, bounds, rs)
+        assert got == want, (face.label(), bounds)
+        for orbit, old in zip(got, want):
+            assert orbit.mu2 == tuple(int(2 * c) for c in old.mu)
+            assert all(type(c) is int for c in orbit.mu2)
+            assert hash(orbit) == hash(old) and orbit.label() == old.label()
+            assert orbit_spin_index(orbit, rs) == orbit_oracle.orbit_spin_index(old, rs)
+            assert orbit_spin_index(old, rs) == orbit_spin_index(orbit, rs)
+        compared += len(got)
+    assert compared > 0 and raised > 0, (compared, raised)
+
+
+def test_an_enumerated_orbit_makes_its_fractions_when_read(a2):
+    ray = face_from_vanishing_set(frozenset({2}), a2)
+    orbit = admissible_orbits_on_face(ray, (Q(0), Q(2)), a2)[0]
+    assert "mu" not in vars(orbit) and orbit.mu2 == (1, 0)
+    assert orbit.mu == (Q(1, 2), 0) and all(type(c) is Q for c in orbit.mu)
+    assert orbit == CoadjointOrbit((Q(1, 2), Q(0)), ray)
+    with pytest.raises(AttributeError):
+        orbit.lam
+
+
+def test_a_checked_orbit_off_half_the_lattice_is_not_admissible(a2):
+    orbit = coadjoint_orbit(weight([Q(1, 3), 0]), a2)
+    assert orbit.mu2 == (Q(2, 3), 0)
+    with pytest.raises(NotAdmissible):
+        orbit_spin_index(orbit, a2)
